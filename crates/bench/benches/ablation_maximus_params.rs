@@ -8,11 +8,12 @@
 use mips_bench::{build_model, fmt_secs, maximus_config, time_seconds, Table};
 use mips_core::maximus::{MaximusConfig, MaximusIndex};
 use mips_core::solver::MipsSolver;
+use mips_core::ScanTier;
 use mips_data::catalog::find;
 use std::sync::Arc;
 
 fn run(model: &Arc<mips_data::MfModel>, cfg: &MaximusConfig) -> (f64, f64) {
-    let index = MaximusIndex::build(Arc::clone(model), cfg);
+    let index = MaximusIndex::build(Arc::clone(model), cfg, ScanTier::F64);
     let (serve, _) = time_seconds(|| index.query_all(1));
     (
         index.build_seconds() + serve,

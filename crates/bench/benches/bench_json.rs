@@ -8,9 +8,9 @@
 //! * `results` — end-to-end serve seconds for every Fig. 5 strategy at every
 //!   paper `k`, per Table I dataset stand-in, with the active SIMD kernel
 //!   name on every row. The scan strategies (BMM, MAXIMUS, LEMP) get one
-//!   row per numeric-path mode — `f64`, `f32-rescore` (f32 screen + exact
-//!   f64 rescore), `i8-rescore` (int8 screen + exact f64 rescore), and
-//!   `auto` (OPTIMUS prices the three modes against each other) — and
+//!   row per numeric-path mode — `f64`, `i8-rescore` (int8 screen + exact
+//!   f64 rescore), and `auto` (OPTIMUS prices the two modes against each
+//!   other) — and
 //!   `precision` is part of every row's gate identity, so a mode cannot
 //!   regress behind another mode's back and `auto` rows guard the
 //!   planner's choice staying no worse than `f64`.
@@ -76,12 +76,12 @@ fn backend_rows(
         let mut runs = 0;
         while runs == 0 || (runs < 201 && spent.iter().all(|&s| s < 0.25)) {
             for (slot, (precision, engine)) in engines.iter().enumerate() {
-                // Named dispatch under f64/f32-rescore pins the row to this
+                // Named dispatch under f64/i8-rescore pins the row to this
                 // backend's direct/screened solver; under auto the
                 // precision decision belongs to the planner, so the row
                 // goes through planned dispatch (the engine holds only
                 // this backend, so the plan chooses between its f64 build
-                // and its +f32 screen variant — exactly the choice the row
+                // and its +i8 screen variant — exactly the choice the row
                 // guards).
                 let response = if *precision == mips_core::precision::Precision::Auto {
                     engine.execute(&request).expect("valid bench request")
@@ -146,8 +146,8 @@ fn main() {
             .collect();
 
         // End-to-end rows: build each backend once per numeric-path mode,
-        // serve at every k. The scan backends get f64, f32-rescore,
-        // i8-rescore, and auto rows; FEXIPRO stays f64-direct (see
+        // serve at every k. The scan backends get f64, i8-rescore, and
+        // auto rows; FEXIPRO stays f64-direct (see
         // `backend_precisions`).
         for backend in figure5_backends(&spec, &model) {
             backend_rows(dataset, &backend, &model, &ks, &mut table, &mut records);
@@ -229,12 +229,10 @@ fn main() {
         geo
     );
 
-    // Mixed-precision roll-up: per scan strategy, how the f32 and i8
-    // screens and the auto planner compare against f64-direct across
-    // datasets and ks. (PR acceptance reads these at scale 1: at least one
-    // f32 ratio >= 1.3x on a scan row, at least one i8-vs-f32 ratio >=
-    // 1.3x on a Table-1 stand-in, and no auto row slower than its f64 twin
-    // beyond noise.)
+    // Mixed-precision roll-up: per scan strategy, how the i8 screen and
+    // the auto planner compare against f64-direct across datasets and ks
+    // (read at scale 1; no auto row should be slower than its f64 twin
+    // beyond noise).
     let at = |strategy: &str, precision: &str, dataset: &str, k: usize| -> Option<f64> {
         records
             .iter()
@@ -247,40 +245,26 @@ fn main() {
             .map(|r| r.serve_seconds)
     };
     for strategy in ["Blocked MM", "Maximus", "LEMP"] {
-        let mut f32_ratios = Vec::new();
-        let mut i8_vs_f32 = Vec::new();
+        let mut i8_ratios = Vec::new();
         let mut auto_worst = f64::INFINITY;
         for r in records
             .iter()
             .filter(|r| r.strategy == strategy && r.precision == "f64")
         {
-            let f32_secs = at(strategy, "f32-rescore", &r.dataset, r.k);
-            let i8_secs = at(strategy, "i8-rescore", &r.dataset, r.k);
-            if let Some(f32_secs) = f32_secs {
-                f32_ratios.push(r.serve_seconds / f32_secs);
-            }
-            if let (Some(f32_secs), Some(i8_secs)) = (f32_secs, i8_secs) {
-                i8_vs_f32.push(f32_secs / i8_secs);
+            if let Some(i8_secs) = at(strategy, "i8-rescore", &r.dataset, r.k) {
+                i8_ratios.push(r.serve_seconds / i8_secs);
             }
             if let Some(auto_secs) = at(strategy, "auto", &r.dataset, r.k) {
                 auto_worst = auto_worst.min(r.serve_seconds / auto_secs);
             }
         }
-        if !f32_ratios.is_empty() {
-            let best = f32_ratios.iter().cloned().fold(0.0f64, f64::max);
+        if !i8_ratios.is_empty() {
+            let best = i8_ratios.iter().cloned().fold(0.0f64, f64::max);
             println!(
-                "{strategy}: f32 screen vs f64 — best {:.2}x, geo-mean {:.2}x; auto vs f64 worst {:.2}x",
+                "{strategy}: i8 screen vs f64 — best {:.2}x, geo-mean {:.2}x; auto vs f64 worst {:.2}x",
                 best,
-                geo_mean(&f32_ratios),
+                geo_mean(&i8_ratios),
                 auto_worst
-            );
-        }
-        if !i8_vs_f32.is_empty() {
-            let best = i8_vs_f32.iter().cloned().fold(0.0f64, f64::max);
-            println!(
-                "{strategy}: i8 screen vs f32 screen — best {:.2}x, geo-mean {:.2}x",
-                best,
-                geo_mean(&i8_vs_f32),
             );
         }
     }

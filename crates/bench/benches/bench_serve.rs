@@ -14,9 +14,8 @@
 //! re-planning). The regression gate guards it like every other row.
 //!
 //! `precision-sweep` rows compare the numeric-path knob — `f64` direct vs
-//! `f32-rescore` (f32 screen + exact f64 rescore) vs `i8-rescore` (int8
-//! screen + exact f64 rescore) vs `auto` (OPTIMUS prices the three) — on
-//! the same BMM-backed single-user flood. `precision`
+//! `i8-rescore` (int8 screen + exact f64 rescore) vs `auto` (OPTIMUS
+//! prices the two) — on the same BMM-backed single-user flood. `precision`
 //! is part of every row's gate identity, so each mode gates individually
 //! and the auto row guards the planner never serving slower than the
 //! committed f64 row drifts.
@@ -537,15 +536,10 @@ fn main() {
         // differing only in the numeric-path knob. A distinct workload
         // label keeps the f64 row from colliding with the steady
         // single-user row's identity; within the sweep, `precision`
-        // separates the four rows so each mode gates on its own.
+        // separates the three rows so each mode gates on its own.
         {
             let w = *worker_counts.first().unwrap();
-            for precision in [
-                Precision::F64,
-                Precision::F32Rescore,
-                Precision::I8Rescore,
-                Precision::Auto,
-            ] {
+            for precision in [Precision::F64, Precision::I8Rescore, Precision::Auto] {
                 let engine = Arc::new(
                     EngineBuilder::new()
                         .model(Arc::clone(&model))
@@ -739,21 +733,14 @@ fn main() {
                 })
                 .map(|r| r.requests_per_sec)
         };
-        if let (Some(f64_rps), Some(f32_rps), Some(auto_rps)) =
-            (prec_rps("f64"), prec_rps("f32-rescore"), prec_rps("auto"))
+        if let (Some(f64_rps), Some(i8_rps), Some(auto_rps)) =
+            (prec_rps("f64"), prec_rps("i8-rescore"), prec_rps("auto"))
         {
             println!(
-                "{dataset}: f32 screen serves {:.2}x f64 (auto {:.2}x) at {w_min} worker(s)",
-                f32_rps / f64_rps,
+                "{dataset}: i8 screen serves {:.2}x f64 (auto {:.2}x) at {w_min} worker(s)",
+                i8_rps / f64_rps,
                 auto_rps / f64_rps
             );
-            if let Some(i8_rps) = prec_rps("i8-rescore") {
-                println!(
-                    "{dataset}: i8 screen serves {:.2}x f64 ({:.2}x the f32 screen) at {w_min} worker(s)",
-                    i8_rps / f64_rps,
-                    i8_rps / f32_rps
-                );
-            }
         }
     }
 

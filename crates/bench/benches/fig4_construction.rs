@@ -31,7 +31,9 @@ fn main() {
             Arc::new(FexiproFactory::sir()),
         ];
         for factory in factories {
-            let solver = factory.build(&model).expect("bench index builds");
+            let solver = factory
+                .build(&mips_data::ModelView::full(&model))
+                .expect("bench index builds");
             let (serve, _) = time_seconds(|| solver.query_all(1));
             let total = solver.build_seconds() + serve;
             worst_ratio = worst_ratio.min(total / solver.build_seconds().max(1e-12));

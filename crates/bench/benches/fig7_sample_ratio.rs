@@ -31,7 +31,10 @@ fn main() {
     let backends = figure5_backends(&spec, &model);
     println!("true serving runtimes (construction excluded):");
     for backend in &backends {
-        let solver = backend.factory.build(&model).expect("bench index builds");
+        let solver = backend
+            .factory
+            .build(&mips_data::ModelView::full(&model))
+            .expect("bench index builds");
         let (serve, _) = mips_bench::time_seconds(|| solver.query_all(k));
         println!("  {:<12} {}", backend.name, fmt_secs(serve));
     }

@@ -12,6 +12,7 @@ use mips_core::engine::{MaximusFactory, SolverFactory};
 use mips_core::maximus::{MaximusConfig, MaximusIndex};
 use mips_core::optimus::{Optimus, OptimusConfig};
 use mips_core::solver::MipsSolver;
+use mips_core::ScanTier;
 use mips_data::catalog::find;
 use std::sync::Arc;
 
@@ -36,7 +37,7 @@ fn main() {
                 item_blocking: blocking,
                 ..base_cfg
             };
-            let index = MaximusIndex::build(Arc::clone(&model), &cfg);
+            let index = MaximusIndex::build(Arc::clone(&model), &cfg, ScanTier::F64);
             let build = index.build_stats();
 
             // Cost estimation: OPTIMUS's sampling phase for this index.

@@ -25,7 +25,10 @@ fn measure_all(model: &Arc<mips_data::MfModel>, backends: &[BenchBackend], k: us
     backends
         .iter()
         .map(|b| {
-            let solver = b.factory.build(model).expect("bench index builds");
+            let solver = b
+                .factory
+                .build(&mips_data::ModelView::full(model))
+                .expect("bench index builds");
             let t0 = Instant::now();
             let r = solver.query_all(k);
             assert_eq!(r.len(), model.num_users());

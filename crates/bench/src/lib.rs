@@ -26,11 +26,11 @@ use mips_core::engine::{
     SolverFactory, SparseFactory,
 };
 use mips_core::maximus::MaximusConfig;
-use mips_core::precision::Precision;
+use mips_core::precision::{Precision, ScanTier};
 use mips_core::serve::JsonWriter;
 use mips_core::solver::MipsSolver;
 use mips_data::catalog::ModelSpec;
-use mips_data::MfModel;
+use mips_data::{MfModel, ModelView};
 use mips_lemp::LempConfig;
 use mips_linalg::simd::Kernel;
 use mips_linalg::{gemm_nt_blocked_with, BlockSizes, CacheConfig};
@@ -163,18 +163,13 @@ pub fn single_backend_engine_at(
 }
 
 /// The numeric-path modes a backend gets bench rows for: the scan
-/// backends (BMM, MAXIMUS, LEMP) carry f32 and int8 screens and compete
-/// under `Auto`; FEXIPRO's integer pipeline and the sparse inverted index
+/// backends (BMM, MAXIMUS, LEMP) carry an int8 screen and compete under
+/// `Auto`; FEXIPRO's integer pipeline and the sparse inverted index
 /// are f64-direct only, so extra modes would just duplicate their rows.
 pub fn backend_precisions(backend: &BenchBackend) -> Vec<Precision> {
     match backend.key {
         "bmm" | "maximus" | "lemp" => {
-            vec![
-                Precision::F64,
-                Precision::F32Rescore,
-                Precision::I8Rescore,
-                Precision::Auto,
-            ]
+            vec![Precision::F64, Precision::I8Rescore, Precision::Auto]
         }
         _ => vec![Precision::F64],
     }
@@ -301,7 +296,7 @@ impl FusionSample {
 /// fusion + SIMD dispatch — exactly the constant factor this PR claims.
 pub fn bmm_fusion_sample(model: &Arc<MfModel>, k: usize, runs: usize) -> FusionSample {
     assert!(runs >= 1, "bmm_fusion_sample: runs must be >= 1");
-    let solver = BmmSolver::build(Arc::clone(model));
+    let solver = BmmSolver::build(&ModelView::full(model), ScanTier::F64);
     let batch = solver.batch_rows();
     let n = model.num_items();
     let scalar = Kernel::scalar();
@@ -358,7 +353,7 @@ pub struct BenchRecord {
     pub dataset: String,
     /// Strategy display name.
     pub strategy: String,
-    /// Numeric-path mode (`"f64"`, `"f32-rescore"`, `"auto"`) — part of the
+    /// Numeric-path mode (`"f64"`, `"i8-rescore"`, `"auto"`) — part of the
     /// row's gate identity, so a precision mode cannot regress behind
     /// another mode's back.
     pub precision: String,
@@ -517,7 +512,7 @@ pub struct ServeRecord {
     /// granularity of derived-state construction the server ran with.
     pub index_scope: String,
     /// Numeric-path mode the fronted engine ran with (`"f64"`,
-    /// `"f32-rescore"`, `"auto"`); part of the row's gate identity.
+    /// `"i8-rescore"`, `"auto"`); part of the row's gate identity.
     pub precision: String,
     /// Worker threads in the pool.
     pub workers: usize,

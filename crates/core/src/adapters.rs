@@ -1,6 +1,7 @@
 //! [`MipsSolver`] adapters for the LEMP, FEXIPRO, and sparse inverted-index
 //! crates.
 
+use crate::precision::{Precision, ScanTier};
 use crate::solver::{MipsSolver, ScreenTally, ScreenTallyCells};
 use crate::sync::Arc;
 use mips_data::MfModel;
@@ -23,46 +24,19 @@ pub struct LempSolver {
 
 impl LempSolver {
     /// Builds the LEMP index (bucketing + per-bucket tuning).
-    pub fn build(model: Arc<MfModel>, config: &LempConfig) -> LempSolver {
-        let start = Instant::now();
-        let index = LempIndex::build(&model, config);
-        let build_seconds = start.elapsed().as_secs_f64();
-        LempSolver {
-            model,
-            index,
-            build_seconds,
-            screen_tally: ScreenTallyCells::default(),
-        }
-    }
-
-    /// [`LempSolver::build`] with the mixed-precision screen enabled:
-    /// scans pre-score candidates in f32 and skip exact dots the error
-    /// envelope proves hopeless, with bit-identical results (see
-    /// [`mips_lemp::scan`]). The mirror rounding pass is part of the
-    /// reported build time.
-    pub fn build_screen(model: Arc<MfModel>, config: &LempConfig) -> LempSolver {
+    ///
+    /// [`ScanTier::I8`] enables the int8 screen: scans pre-score candidates
+    /// with exact integer dots over symmetric int8 codes and skip exact dots
+    /// the quantization envelope proves hopeless, with bit-identical results
+    /// (see [`mips_lemp::scan`]). Falls back to the plain f64 identity when
+    /// the model quantizes degenerately. The quantization pass is part of
+    /// the reported build time.
+    pub fn build(model: Arc<MfModel>, config: &LempConfig, tier: ScanTier) -> LempSolver {
         let start = Instant::now();
         let mut index = LempIndex::build(&model, config);
-        index.enable_screen();
-        let build_seconds = start.elapsed().as_secs_f64();
-        LempSolver {
-            model,
-            index,
-            build_seconds,
-            screen_tally: ScreenTallyCells::default(),
+        if tier == ScanTier::I8 {
+            index.enable_screen_i8();
         }
-    }
-
-    /// [`LempSolver::build`] with the int8 screen enabled: scans pre-score
-    /// candidates with exact integer dots over symmetric int8 codes and
-    /// skip exact dots the quantization envelope proves hopeless, with
-    /// bit-identical results (see [`mips_lemp::scan`]). Falls back to the
-    /// plain f64 identity when the model quantizes degenerately. The
-    /// quantization pass is part of the reported build time.
-    pub fn build_screen_i8(model: Arc<MfModel>, config: &LempConfig) -> LempSolver {
-        let start = Instant::now();
-        let mut index = LempIndex::build(&model, config);
-        index.enable_screen_i8();
         let build_seconds = start.elapsed().as_secs_f64();
         LempSolver {
             model,
@@ -90,8 +64,6 @@ impl MipsSolver for LempSolver {
     fn name(&self) -> &str {
         if self.index.is_screening_i8() {
             "LEMP+i8"
-        } else if self.index.is_screening() {
-            "LEMP+f32"
         } else {
             "LEMP"
         }
@@ -105,13 +77,11 @@ impl MipsSolver for LempSolver {
         false // point queries: OPTIMUS may t-test LEMP
     }
 
-    fn precision(&self) -> crate::precision::Precision {
+    fn precision(&self) -> Precision {
         if self.index.is_screening_i8() {
-            crate::precision::Precision::I8Rescore
-        } else if self.index.is_screening() {
-            crate::precision::Precision::F32Rescore
+            Precision::I8Rescore
         } else {
-            crate::precision::Precision::F64
+            Precision::F64
         }
     }
 
@@ -148,7 +118,8 @@ impl MipsSolver for LempSolver {
     }
 
     fn take_screen_stats(&self) -> Option<ScreenTally> {
-        (self.index.is_screening() || self.index.is_screening_i8())
+        self.index
+            .is_screening_i8()
             .then(|| self.screen_tally.drain())
     }
 }
@@ -317,10 +288,10 @@ mod tests {
     #[test]
     fn adapters_agree_with_bmm() {
         let m = model();
-        let bmm = BmmSolver::build(Arc::clone(&m));
+        let bmm = BmmSolver::build(&mips_data::ModelView::full(&m), ScanTier::F64);
         let want = bmm.query_all(4);
 
-        let lemp = LempSolver::build(Arc::clone(&m), &LempConfig::default());
+        let lemp = LempSolver::build(Arc::clone(&m), &LempConfig::default(), ScanTier::F64);
         let got = lemp.query_all(4);
         for u in 0..20 {
             assert_eq!(got[u].items, want[u].items, "LEMP user {u}");
@@ -338,7 +309,10 @@ mod tests {
     #[test]
     fn adapters_report_point_query_semantics() {
         let m = model();
-        assert!(!LempSolver::build(Arc::clone(&m), &LempConfig::default()).batches_users());
+        assert!(
+            !LempSolver::build(Arc::clone(&m), &LempConfig::default(), ScanTier::F64)
+                .batches_users()
+        );
         assert!(!SparseSolver::build(Arc::clone(&m), &SparseConfig::default()).batches_users());
         assert!(!FexiproSolver::build(m, &FexiproConfig::si()).batches_users());
     }
@@ -348,7 +322,7 @@ mod tests {
         // Fully dense factors are the sparse backend's worst case; the
         // exactness contract must hold regardless.
         let m = model();
-        let bmm = BmmSolver::build(Arc::clone(&m));
+        let bmm = BmmSolver::build(&mips_data::ModelView::full(&m), ScanTier::F64);
         let sparse = SparseSolver::build(Arc::clone(&m), &SparseConfig::default());
         assert_eq!(sparse.name(), "Sparse-II");
         for k in [1, 4, 60, 61] {
@@ -370,7 +344,7 @@ mod tests {
     #[test]
     fn build_time_is_recorded() {
         let m = model();
-        let lemp = LempSolver::build(m, &LempConfig::default());
+        let lemp = LempSolver::build(m, &LempConfig::default(), ScanTier::F64);
         assert!(lemp.build_seconds() >= 0.0);
         assert!(lemp.build_seconds() < 10.0);
     }

@@ -15,14 +15,14 @@
 //! Both paths run on the runtime-dispatched SIMD micro-kernels
 //! ([`mips_linalg::simd`]); results are identical either way.
 
-use crate::precision::Precision;
+use crate::precision::{Precision, ScanTier};
 use crate::solver::{MipsSolver, ScreenTally, ScreenTallyCells};
 use crate::sync::Arc;
-use mips_data::{MfModel, Mirror32, MirrorI8};
+use mips_data::{MfModel, MirrorI8, ModelView};
 use mips_linalg::{gemm_nt_into_scratch, CacheConfig, GemmScratch, Matrix, RowBlock};
 use mips_topk::{
-    gemm_nt_topk, rows_topk, screen_i8_topk_into_heaps, screen_topk_into_heaps, ColumnIds,
-    QuantItems, QuantUsers, ScreenI8Scratch, ScreenScratch, TopKHeap, TopKList,
+    gemm_nt_topk, rows_topk, screen_i8_topk_into_heaps, ColumnIds, QuantItems, QuantUsers,
+    ScreenI8Scratch, TopKHeap, TopKList,
 };
 use std::ops::Range;
 use std::time::Instant;
@@ -39,9 +39,10 @@ const SCORE_BUFFER_BYTES: usize = 8 << 20;
 /// The brute-force blocked-matrix-multiply solver.
 ///
 /// A solver may cover only a contiguous user range of its model
-/// ([`BmmSolver::build_view`]): queries then address users by **local** row
-/// (`0..range.len()`), and every factor access offsets into the parent
-/// matrix — the view is zero-copy over the factor block.
+/// ([`BmmSolver::build`] over a proper [`ModelView`]): queries then address
+/// users by **local** row (`0..range.len()`), and every factor access
+/// offsets into the parent matrix — the view is zero-copy over the factor
+/// block.
 #[derive(Debug, Clone)]
 pub struct BmmSolver {
     model: Arc<MfModel>,
@@ -50,139 +51,66 @@ pub struct BmmSolver {
     batch_rows: usize,
     build_seconds: f64,
     fused: bool,
-    /// `Some` on a mixed-precision path: scans run over the tier's mirror
-    /// with a conservative error envelope and survivors are rescored in
+    /// `Some` on the int8 screen path: scans run over the model's int8
+    /// mirror with a quantization envelope and survivors are rescored in
     /// f64, so results stay bit-identical to the pure-f64 path (see
-    /// [`mips_topk::screen`] / [`mips_topk::screen_i8`]). `None` when the
-    /// model doesn't mirror usably ([`Mirror32::is_usable`] /
-    /// [`MirrorI8::is_usable`]) — then serving silently stays f64.
-    screen: Option<ScreenTier>,
+    /// [`mips_topk::screen_i8`]). `None` on the f64 tier, and when the
+    /// model doesn't quantize usably ([`MirrorI8::is_usable`]) — then
+    /// serving silently stays f64.
+    screen: Option<Arc<MirrorI8>>,
     /// Cumulative screen candidate/survivor counts, drained by the serving
     /// layer ([`MipsSolver::take_screen_stats`]). Clones share the cells —
     /// the counters describe the screen's selectivity, not one handle's.
     screen_tally: Arc<ScreenTallyCells>,
 }
 
-/// Which mixed-precision screen a [`BmmSolver`] scans with.
-#[derive(Debug, Clone)]
-enum ScreenTier {
-    /// f32 mirror with a rounding envelope ([`mips_topk::screen`]).
-    F32(Arc<Mirror32>),
-    /// int8 mirror with a quantization envelope ([`mips_topk::screen_i8`]).
-    I8(Arc<MirrorI8>),
-}
-
-/// One gathered block's worth of screen-side user data, matching the tier.
-enum BlockScreen<'a> {
-    F32(RowBlock<'a, f32>, &'a [f64]),
-    I8(QuantUsers<'a>),
-}
-
-/// Requested screen tier at build time (before usability gating).
-#[derive(Debug, Clone, Copy)]
-enum TierKind {
-    F32,
-    I8,
-}
-
-/// Owned screen-side user data gathered for a `query_subset` call.
-enum GatheredScreen {
-    F32(Matrix<f32>, Vec<f64>),
-    I8(Vec<i8>, Vec<f64>, Vec<f64>),
+/// Owned int8 user data gathered for a `query_subset` call: codes, scales
+/// and L1 norms, row-aligned with the gathered f64 block.
+struct GatheredScreen {
+    codes: Vec<i8>,
+    scales: Vec<f64>,
+    l1: Vec<f64>,
 }
 
 impl BmmSolver {
-    /// Prepares the solver (no index; build cost is effectively zero).
-    /// Serving takes the fused GEMM→top-k path.
-    pub fn build(model: Arc<MfModel>) -> BmmSolver {
-        let users = 0..model.num_users();
-        Self::build_inner(model, users, true, false)
-    }
-
-    /// Prepares a solver over a contiguous user range of the model —
-    /// zero-copy: only the range is stored; factor rows are read straight
-    /// out of the shared matrix, offset by the range start. Queries use
-    /// local user ids `0..view.num_users()`.
-    pub fn build_view(view: &mips_data::ModelView) -> BmmSolver {
-        Self::build_inner(Arc::clone(view.model()), view.user_range(), true, false)
-    }
-
-    /// Prepares the mixed-precision solver: the f32 screen of the fused
-    /// scan plus an exact f64 rescore. The model's [`Mirror32`] is built
-    /// here (or fetched from the epoch-shared cache), so the rounding cost
-    /// is paid at build time, where OPTIMUS accounts it.
-    pub fn build_screen(model: Arc<MfModel>) -> BmmSolver {
-        let users = 0..model.num_users();
-        Self::build_inner(model, users, true, true)
-    }
-
-    /// [`BmmSolver::build_screen`] over a contiguous user range — the f32
-    /// mirror is shared with the parent model, so per-shard views get it
-    /// for free.
-    pub fn build_screen_view(view: &mips_data::ModelView) -> BmmSolver {
-        Self::build_inner(Arc::clone(view.model()), view.user_range(), true, true)
-    }
-
-    /// Prepares the int8-screen solver: the exact-integer i8 screen of the
-    /// scan plus an exact f64 rescore. The model's [`MirrorI8`] is built
-    /// here (or fetched from the epoch-shared cache), so quantization cost
-    /// is paid at build time, where OPTIMUS accounts it.
-    pub fn build_screen_i8(model: Arc<MfModel>) -> BmmSolver {
-        let users = 0..model.num_users();
-        Self::build_tier(model, users, Some(TierKind::I8))
-    }
-
-    /// [`BmmSolver::build_screen_i8`] over a contiguous user range — the
-    /// int8 mirror is shared with the parent model, so per-shard views get
-    /// it for free.
-    pub fn build_screen_i8_view(view: &mips_data::ModelView) -> BmmSolver {
-        Self::build_tier(
-            Arc::clone(view.model()),
-            view.user_range(),
-            Some(TierKind::I8),
-        )
+    /// Prepares a solver over a contiguous user range of the model — no
+    /// index, so build cost is effectively zero — serving through the fused
+    /// GEMM→top-k path. Zero-copy: only the range is stored; factor rows
+    /// are read straight out of the shared matrix, offset by the range
+    /// start, and queries use local user ids `0..view.num_users()`.
+    ///
+    /// [`ScanTier::I8`] adds the exact-integer int8 screen of the scan plus
+    /// an exact f64 rescore. The model's [`MirrorI8`] is built here (or
+    /// fetched from the epoch-shared cache, so sibling shard views share
+    /// one quantization pass) and its cost is paid at build time, where
+    /// OPTIMUS accounts it.
+    pub fn build(view: &ModelView, tier: ScanTier) -> BmmSolver {
+        let start = Instant::now();
+        let model = Arc::clone(view.model());
+        let batch_rows = Self::pick_batch_rows(model.num_items(), model.num_factors());
+        let screen = match tier {
+            ScanTier::I8 => Some(Arc::clone(model.mirror_i8())).filter(|m| m.is_usable()),
+            ScanTier::F64 => None,
+        };
+        let build_seconds = start.elapsed().as_secs_f64();
+        BmmSolver {
+            model,
+            users: view.user_range(),
+            batch_rows,
+            build_seconds,
+            fused: true,
+            screen,
+            screen_tally: Arc::new(ScreenTallyCells::default()),
+        }
     }
 
     /// Prepares a solver that serves through the two-stage path (full score
     /// buffer, then a separate top-k pass). Kept for the fusion A/B benches
     /// and as a bisection aid; results are identical to the fused path.
     pub fn build_unfused(model: Arc<MfModel>) -> BmmSolver {
-        let users = 0..model.num_users();
-        Self::build_inner(model, users, false, false)
-    }
-
-    fn build_inner(
-        model: Arc<MfModel>,
-        users: Range<usize>,
-        fused: bool,
-        screen: bool,
-    ) -> BmmSolver {
-        let mut solver = Self::build_tier(model, users, screen.then_some(TierKind::F32));
-        solver.fused = fused;
-        solver
-    }
-
-    fn build_tier(model: Arc<MfModel>, users: Range<usize>, tier: Option<TierKind>) -> BmmSolver {
-        let start = Instant::now();
-        let batch_rows = Self::pick_batch_rows(model.num_items(), model.num_factors());
-        let screen = match tier {
-            Some(TierKind::F32) => Some(Arc::clone(model.mirror32()))
-                .filter(|m| m.is_usable())
-                .map(ScreenTier::F32),
-            Some(TierKind::I8) => Some(Arc::clone(model.mirror_i8()))
-                .filter(|m| m.is_usable())
-                .map(ScreenTier::I8),
-            None => None,
-        };
-        let build_seconds = start.elapsed().as_secs_f64();
         BmmSolver {
-            model,
-            users,
-            batch_rows,
-            build_seconds,
-            fused: true,
-            screen,
-            screen_tally: Arc::new(ScreenTallyCells::default()),
+            fused: false,
+            ..Self::build(&ModelView::full(&model), ScanTier::F64)
         }
     }
 
@@ -204,59 +132,39 @@ impl BmmSolver {
         self.fused
     }
 
-    /// `true` when serving screens in a lower precision (a
-    /// [`BmmSolver::build_screen`] / [`BmmSolver::build_screen_i8`] solver
-    /// whose model mirrors usably).
+    /// `true` when serving screens in int8 (a [`ScanTier::I8`] solver whose
+    /// model quantizes usably).
     pub fn is_screening(&self) -> bool {
         self.screen.is_some()
     }
 
     /// Serves one gathered user block into `out`, reusing the caller's
     /// scratch (fused) or score buffer (unfused) across blocks. `screen`
-    /// carries the block's rows of the f32 mirror plus their exact f64
-    /// norms when the mixed-precision path is active.
+    /// carries the block's int8 user codes when the screen is active.
     fn serve_block_into(
         &self,
         users: RowBlock<'_, f64>,
-        screen: Option<BlockScreen<'_>>,
+        screen: Option<QuantUsers<'_>>,
         k: usize,
         scratch: &mut BmmScratch,
         out: &mut Vec<TopKList>,
     ) {
         let n = self.model.num_items();
-        if let Some(block_screen) = screen {
+        if let (Some(users_q), Some(mirror)) = (screen, self.screen.as_ref()) {
             let mut heaps: Vec<TopKHeap> = (0..users.rows()).map(|_| TopKHeap::new(k)).collect();
-            let stats = match (block_screen, self.screen.as_ref()) {
-                (BlockScreen::F32(users32, user_norms), Some(ScreenTier::F32(mirror))) => {
-                    screen_topk_into_heaps(
-                        users,
-                        self.model.items().into(),
-                        users32,
-                        mirror.items().into(),
-                        user_norms,
-                        mirror.item_norms(),
-                        &mut heaps,
-                        ColumnIds::Offset(0),
-                        &mut scratch.screen,
-                    )
-                }
-                (BlockScreen::I8(users_q), Some(ScreenTier::I8(mirror))) => {
-                    screen_i8_topk_into_heaps(
-                        users,
-                        self.model.items().into(),
-                        users_q,
-                        QuantItems {
-                            codes: mirror.items_q(),
-                            inv_scales: mirror.item_inv_scales(),
-                            l1: mirror.item_l1(),
-                        },
-                        &mut heaps,
-                        ColumnIds::Offset(0),
-                        &mut scratch.screen_i8,
-                    )
-                }
-                _ => unreachable!("block screen data mismatches the solver tier"),
-            };
+            let stats = screen_i8_topk_into_heaps(
+                users,
+                self.model.items().into(),
+                users_q,
+                QuantItems {
+                    codes: mirror.items_q(),
+                    inv_scales: mirror.item_inv_scales(),
+                    l1: mirror.item_l1(),
+                },
+                &mut heaps,
+                ColumnIds::Offset(0),
+                &mut scratch.screen_i8,
+            );
             self.screen_tally.record(stats.screened, stats.rescored);
             out.extend(heaps.into_iter().map(TopKHeap::into_sorted));
         } else if self.fused {
@@ -285,7 +193,6 @@ impl BmmSolver {
 struct BmmScratch {
     gemm: GemmScratch<f64>,
     scores: Vec<f64>,
-    screen: ScreenScratch,
     screen_i8: ScreenI8Scratch,
 }
 
@@ -294,10 +201,10 @@ impl MipsSolver for BmmSolver {
         // The suffix matches the planner's candidate labelling, so the
         // `backend` response field and OPTIMUS estimates distinguish the
         // two numeric paths.
-        match self.screen {
-            Some(ScreenTier::F32(_)) => "Blocked MM+f32",
-            Some(ScreenTier::I8(_)) => "Blocked MM+i8",
-            None => "Blocked MM",
+        if self.screen.is_some() {
+            "Blocked MM+i8"
+        } else {
+            "Blocked MM"
         }
     }
 
@@ -323,16 +230,10 @@ impl MipsSolver for BmmSolver {
             let end = (start + self.batch_rows).min(users.end);
             let block = self.model.users().row_block(base + start, base + end);
             let f = self.model.num_factors();
-            let screen = self.screen.as_ref().map(|tier| match tier {
-                ScreenTier::F32(m) => BlockScreen::F32(
-                    m.users().row_block(base + start, base + end),
-                    &m.user_norms()[base + start..base + end],
-                ),
-                ScreenTier::I8(m) => BlockScreen::I8(QuantUsers {
-                    codes: &m.users_q()[(base + start) * f..(base + end) * f],
-                    scales: &m.user_scales()[base + start..base + end],
-                    l1: &m.user_l1()[base + start..base + end],
-                }),
+            let screen = self.screen.as_ref().map(|m| QuantUsers {
+                codes: &m.users_q()[(base + start) * f..(base + end) * f],
+                scales: &m.user_scales()[base + start..base + end],
+                l1: &m.user_l1()[base + start..base + end],
             });
             self.serve_block_into(block, screen, k, &mut scratch, &mut out);
             start = end;
@@ -351,23 +252,10 @@ impl MipsSolver for BmmSolver {
                 })
                 .collect();
             let gathered: Matrix<f64> = self.model.users().gather_rows(&rows);
-            let gathered_screen = self.screen.as_ref().map(|tier| match tier {
-                ScreenTier::F32(m) => {
-                    let norms: Vec<f64> = rows.iter().map(|&r| m.user_norms()[r]).collect();
-                    GatheredScreen::F32(m.users().gather_rows(&rows), norms)
-                }
-                ScreenTier::I8(m) => {
-                    let f = m.factors();
-                    let mut codes = Vec::with_capacity(rows.len() * f);
-                    for &r in &rows {
-                        codes.extend_from_slice(&m.users_q()[r * f..(r + 1) * f]);
-                    }
-                    GatheredScreen::I8(
-                        codes,
-                        rows.iter().map(|&r| m.user_scales()[r]).collect(),
-                        rows.iter().map(|&r| m.user_l1()[r]).collect(),
-                    )
-                }
+            let gathered_screen = self.screen.as_ref().map(|m| GatheredScreen {
+                codes: rows.iter().flat_map(|&r| m.user_row(r)).copied().collect(),
+                scales: rows.iter().map(|&r| m.user_scales()[r]).collect(),
+                l1: rows.iter().map(|&r| m.user_l1()[r]).collect(),
             });
             let f = self.model.num_factors();
             let mut scratch = BmmScratch::default();
@@ -375,15 +263,10 @@ impl MipsSolver for BmmSolver {
             let mut start = 0;
             while start < gathered.rows() {
                 let end = (start + self.batch_rows).min(gathered.rows());
-                let screen = gathered_screen.as_ref().map(|g| match g {
-                    GatheredScreen::F32(m32, norms) => {
-                        BlockScreen::F32(m32.row_block(start, end), &norms[start..end])
-                    }
-                    GatheredScreen::I8(codes, scales, l1) => BlockScreen::I8(QuantUsers {
-                        codes: &codes[start * f..end * f],
-                        scales: &scales[start..end],
-                        l1: &l1[start..end],
-                    }),
+                let screen = gathered_screen.as_ref().map(|g| QuantUsers {
+                    codes: &g.codes[start * f..end * f],
+                    scales: &g.scales[start..end],
+                    l1: &g.l1[start..end],
                 });
                 self.serve_block_into(
                     gathered.row_block(start, end),
@@ -399,10 +282,10 @@ impl MipsSolver for BmmSolver {
     }
 
     fn precision(&self) -> Precision {
-        match self.screen {
-            Some(ScreenTier::F32(_)) => Precision::F32Rescore,
-            Some(ScreenTier::I8(_)) => Precision::I8Rescore,
-            None => Precision::F64,
+        if self.screen.is_some() {
+            Precision::I8Rescore
+        } else {
+            Precision::F64
         }
     }
 
@@ -438,7 +321,7 @@ mod tests {
     #[test]
     fn matches_per_pair_reference() {
         let m = model(30, 50, 12);
-        let solver = BmmSolver::build(Arc::clone(&m));
+        let solver = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
         let all = solver.query_all(5);
         for (u, got) in all.iter().enumerate() {
             let want = reference(&m, u, 5);
@@ -452,7 +335,7 @@ mod tests {
     #[test]
     fn fused_and_unfused_paths_agree_exactly() {
         let m = model(45, 120, 10);
-        let fused = BmmSolver::build(Arc::clone(&m));
+        let fused = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
         let unfused = BmmSolver::build_unfused(Arc::clone(&m));
         assert!(fused.is_fused());
         assert!(!unfused.is_fused());
@@ -466,7 +349,7 @@ mod tests {
     #[test]
     fn batching_is_invisible_to_results() {
         let m = model(40, 20, 6);
-        let mut solver = BmmSolver::build(Arc::clone(&m));
+        let mut solver = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
         let whole = solver.query_all(4);
         solver.batch_rows = 7; // force many partial batches
         let batched = solver.query_all(4);
@@ -476,7 +359,7 @@ mod tests {
     #[test]
     fn subset_and_range_agree() {
         let m = model(25, 15, 5);
-        let solver = BmmSolver::build(m);
+        let solver = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
         let range = solver.query_range(3, 10..20);
         let subset = solver.query_subset(3, &(10..20).collect::<Vec<_>>());
         assert_eq!(range, subset);
@@ -485,7 +368,7 @@ mod tests {
     #[test]
     fn k_edge_cases() {
         let m = model(5, 8, 4);
-        let solver = BmmSolver::build(m);
+        let solver = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
         assert!(solver.query_all(0).iter().all(|l| l.is_empty()));
         let big = solver.query_all(100);
         assert!(big.iter().all(|l| l.len() == 8));
@@ -495,11 +378,10 @@ mod tests {
 
     #[test]
     fn view_solver_matches_the_global_solver_bit_for_bit() {
-        use mips_data::ModelView;
         let m = model(37, 60, 9);
-        let global = BmmSolver::build(Arc::clone(&m));
+        let global = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
         let view = ModelView::of_range(&m, 11..29);
-        let local = BmmSolver::build_view(&view);
+        let local = BmmSolver::build(&view, ScanTier::F64);
         assert_eq!(local.num_users(), 18);
         // Local range 0..18 is global 11..29, down to every score bit.
         assert_eq!(local.query_range(5, 0..18), global.query_range(5, 11..29));
@@ -508,16 +390,15 @@ mod tests {
             global.query_subset(4, &[11, 28, 14, 14])
         );
         // The full view degenerates to the global solver.
-        let full = BmmSolver::build_view(&ModelView::full(&m));
+        let full = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
         assert_eq!(full.query_all(6), global.query_all(6));
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn view_solver_rejects_local_ids_past_the_view() {
-        use mips_data::ModelView;
         let m = model(10, 8, 4);
-        let local = BmmSolver::build_view(&ModelView::of_range(&m, 2..6));
+        let local = BmmSolver::build(&ModelView::of_range(&m, 2..6), ScanTier::F64);
         let _ = local.query_subset(1, &[4]);
     }
 
@@ -532,7 +413,7 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn rejects_bad_range() {
         let m = model(5, 8, 4);
-        let solver = BmmSolver::build(m);
+        let solver = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
         let _ = solver.query_range(1, 0..6);
     }
 }

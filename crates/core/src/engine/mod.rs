@@ -95,7 +95,7 @@ pub struct EngineOptions {
     /// Planner configuration (sampling fraction, t-test, seed).
     pub optimus: OptimusConfig,
     /// Numeric execution mode for the scan backends: pure f64 (default),
-    /// forced f32-screen + f64-rescore, or planner's choice per plan.
+    /// forced int8-screen + f64-rescore, or planner's choice per plan.
     /// Results are bit-identical across all three — see
     /// [`crate::precision::Precision`].
     pub precision: Precision,
@@ -138,10 +138,6 @@ impl EngineOptions {
         Ok(())
     }
 }
-
-/// Former name of [`EngineOptions`].
-#[deprecated(note = "renamed to EngineOptions")]
-pub type EngineConfig = EngineOptions;
 
 /// Step-by-step assembly of an [`Engine`].
 #[derive(Default)]
@@ -217,7 +213,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the numeric execution mode (f64-direct, f32-screen +
+    /// Sets the numeric execution mode (f64-direct, int8-screen +
     /// f64-rescore, or per-plan [`Precision::Auto`]). Results are
     /// bit-identical under every setting.
     pub fn precision(mut self, precision: Precision) -> EngineBuilder {
@@ -236,12 +232,6 @@ impl EngineBuilder {
     pub fn options(mut self, options: EngineOptions) -> EngineBuilder {
         self.config = options;
         self
-    }
-
-    /// Former name of [`EngineBuilder::options`].
-    #[deprecated(note = "renamed to EngineBuilder::options")]
-    pub fn config(self, config: EngineOptions) -> EngineBuilder {
-        self.options(config)
     }
 
     /// Validates the assembly and produces the engine.
@@ -276,40 +266,17 @@ impl EngineBuilder {
     }
 }
 
-/// Cache-key suffix for mixed-precision solver variants: the epoch's
-/// solver tier stores the screen build of backend `"bmm"` under
-/// `"bmm+f32"`, and Auto plans label screen candidates with the same
-/// suffixed key in their estimates.
-pub(crate) const SCREEN_SUFFIX: &str = "+f32";
-
-/// Cache-key suffix for the int8 screen tier — the variant below `+f32`:
-/// `"bmm+i8"` stores the epoch's i8 screen build of backend `"bmm"`, and
-/// Auto plans label i8 candidates with the same suffixed key.
+/// Cache-key suffix for the int8 screen tier: the epoch's solver tier
+/// stores the screen build of backend `"bmm"` under `"bmm+i8"`, and Auto
+/// plans label screen candidates with the same suffixed key in their
+/// estimates.
 pub(crate) const SCREEN_I8_SUFFIX: &str = "+i8";
 
-/// Which screen tier a mixed-precision lookup targets. Both tiers share the
-/// cache plumbing ([`Engine::screen_solver_on`] and the shard variant);
-/// the kind only selects the cache-key suffix and the factory entry point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScreenKind {
-    F32,
-    I8,
-}
+/// Planner candidates: backend keys (suffixed for Auto's screen variants),
+/// each with the solver it dispatches to.
+type PlanCandidates = Vec<(String, Arc<dyn MipsSolver>)>;
 
-impl ScreenKind {
-    fn suffix(self) -> &'static str {
-        match self {
-            ScreenKind::F32 => SCREEN_SUFFIX,
-            ScreenKind::I8 => SCREEN_I8_SUFFIX,
-        }
-    }
-}
-
-/// A planner candidate list: backend keys (suffixed for Auto's screen
-/// variants) parallel to the solvers they dispatch to.
-type PlanCandidates = (Vec<String>, Vec<Arc<dyn MipsSolver>>);
-
-/// Under `Auto`, a `+f32` or `+i8` screen variant displaces its own f64 build only
+/// Under `Auto`, a `+i8` screen variant displaces its own f64 build only
 /// when its sampled estimate is at most this fraction of the base's — i.e.
 /// clearly faster, not within sampling noise of a tie. See
 /// [`demote_marginal_screen_winner`] for the asymmetry argument that
@@ -336,21 +303,16 @@ pub(crate) const SCREEN_ADOPTION_FLOOR_SECONDS: f64 = 500e-6;
 /// kept incumbent forgoes at most the margin; a wrongly adopted screen
 /// can serve arbitrarily slower than the committed f64 baseline.
 ///
-/// `chosen` must index a `+f32` or `+i8` estimate; returns the index of
-/// its f64 base when the winner should be demoted to it, `None` when the
-/// screen keeps the plan (clearly faster, or no base twin competed — the
-/// forced `F32Rescore`/`I8Rescore` modes, where screens run under plain
-/// keys). Both screen tiers face the same incumbent and the same noise
-/// asymmetry, so they share one margin.
+/// `chosen` must index a `+i8` estimate; returns the index of its f64
+/// base when the winner should be demoted to it, `None` when the screen
+/// keeps the plan (clearly faster, or no base twin competed — the forced
+/// `I8Rescore` mode, where screens run under plain keys).
 fn demote_marginal_screen_winner(
     estimates: &[crate::optimus::StrategyEstimate],
     chosen: usize,
 ) -> Option<usize> {
     let screen = &estimates[chosen];
-    let base_name = screen
-        .name
-        .strip_suffix(SCREEN_SUFFIX)
-        .or_else(|| screen.name.strip_suffix(SCREEN_I8_SUFFIX))?;
+    let base_name = screen.name.strip_suffix(SCREEN_I8_SUFFIX)?;
     estimates
         .iter()
         .position(|e| e.name == base_name)
@@ -485,12 +447,6 @@ impl Engine {
         &self.config
     }
 
-    /// Former name of [`Engine::options`].
-    #[deprecated(note = "renamed to Engine::options")]
-    pub fn config(&self) -> &EngineOptions {
-        &self.config
-    }
-
     /// The engine's configured numeric mode (see
     /// [`EngineBuilder::precision`]). Per-plan effective decisions are on
     /// [`PreparedPlan::precision`].
@@ -517,151 +473,128 @@ impl Engine {
         self.solver_on(&self.snapshot(), key)
     }
 
-    /// [`Engine::solver`] pinned to one epoch snapshot. The build runs
+    /// [`Engine::solver`] pinned to one epoch snapshot.
+    fn solver_on(&self, state: &ModelEpoch, key: &str) -> Result<Arc<dyn MipsSolver>, MipsError> {
+        self.cached_solver(state, None, key, false, &mut ShardBuildStats::default())
+            .map(|plain| plain.expect("every backend has a plain build"))
+    }
+
+    /// `key`'s solver on one epoch — its int8 screen build when `screen` is
+    /// set — cached in the epoch's solver tier under `"<key>"` or
+    /// `"<key>+i8"`. With `users` set, the solver is built over a
+    /// [`ModelView`] of that contiguous range, cached in the per-shard tier
+    /// under `(bounds, cache key)`, and speaks **global** user ids
+    /// restricted to the range; real construction work (a cache miss) is
+    /// then recorded into `stats` so the serving runtime can surface
+    /// per-shard build counts and cost.
+    ///
+    /// `Ok(None)` when the backend has no screen path — determining that
+    /// is free (such factories return before building anything), so the
+    /// probe is repeated per call rather than cached. The build runs
     /// outside the cache lock and installs compare-and-swap style (see
     /// [`epoch::get_or_build`]), so a slow build never convoys concurrent
     /// first-touch builders of other state.
-    fn solver_on(&self, state: &ModelEpoch, key: &str) -> Result<Arc<dyn MipsSolver>, MipsError> {
-        let factory = Arc::clone(
-            self.registry
-                .get(key)
-                .ok_or_else(|| MipsError::UnknownBackend { key: key.into() })?,
-        );
-        let cell = {
-            let mut map = lock_recovering(&state.solvers);
-            Arc::clone(map.entry(key.to_string()).or_default())
-        };
-        get_or_build(&cell, || {
-            Ok(Arc::from(factory.build(&state.model)?) as Arc<dyn MipsSolver>)
-        })
-    }
-
-    /// The mixed-precision screen variant of `key`'s solver on one epoch,
-    /// cached in the same solver tier under `"<key>+f32"` or `"<key>+i8"`
-    /// per `kind`. `Ok(None)` when the backend has no path for that tier —
-    /// determining that is free (such factories return before building
-    /// anything), so the probe is repeated per call rather than cached.
-    fn screen_solver_on(
+    fn cached_solver(
         &self,
         state: &ModelEpoch,
+        users: Option<&Range<usize>>,
         key: &str,
-        kind: ScreenKind,
+        screen: bool,
+        stats: &mut ShardBuildStats,
     ) -> Result<Option<Arc<dyn MipsSolver>>, MipsError> {
         let factory = Arc::clone(
             self.registry
                 .get(key)
                 .ok_or_else(|| MipsError::UnknownBackend { key: key.into() })?,
         );
-        let cache_key = format!("{key}{}", kind.suffix());
-        let cell = {
-            let mut map = lock_recovering(&state.solvers);
-            Arc::clone(map.entry(cache_key.clone()).or_default())
+        let cache_key = if screen {
+            format!("{key}{SCREEN_I8_SUFFIX}")
+        } else {
+            key.to_string()
+        };
+        let cell = match users {
+            None => {
+                let mut map = lock_recovering(&state.solvers);
+                Arc::clone(map.entry(cache_key.clone()).or_default())
+            }
+            Some(users) => {
+                let mut map = lock_recovering(&state.shard_solvers);
+                Arc::clone(
+                    map.entry(((users.start, users.end), cache_key.clone()))
+                        .or_default(),
+                )
+            }
         };
         // "No screen path" travels through `get_or_build` as a sentinel
         // error so the cell stays unfilled and no half-state is cached.
         match get_or_build(&cell, || {
-            let built = match kind {
-                ScreenKind::F32 => factory.build_screen(&state.model),
-                ScreenKind::I8 => factory.build_screen_i8(&state.model),
+            let started = Instant::now();
+            let view = match users {
+                None => ModelView::full(&state.model),
+                Some(users) => ModelView::of_range(&state.model, users.clone()),
             };
-            match built {
-                Some(built) => Ok(Arc::from(built?) as Arc<dyn MipsSolver>),
-                None => Err(MipsError::UnknownBackend {
+            let built = if screen {
+                factory.build_screen(&view)
+            } else {
+                Some(factory.build(&view))
+            };
+            let Some(built) = built else {
+                return Err(MipsError::UnknownBackend {
                     key: cache_key.clone(),
-                }),
-            }
-        }) {
-            Ok(solver) => Ok(Some(solver)),
-            Err(MipsError::UnknownBackend { key: k }) if k == cache_key => Ok(None),
-            Err(err) => Err(err),
-        }
-    }
-
-    /// The shard-local solver for `key` over the contiguous user range
-    /// `users`, built lazily over a [`ModelView`] of the epoch's model and
-    /// cached in the epoch's per-shard tier under `(bounds, key)`. The
-    /// returned solver speaks **global** user ids restricted to the range.
-    ///
-    /// Real construction work (a cache miss) is recorded into `stats` so
-    /// the serving runtime can surface per-shard build counts and cost.
-    fn shard_solver_on(
-        &self,
-        state: &ModelEpoch,
-        users: &Range<usize>,
-        key: &str,
-        stats: &mut ShardBuildStats,
-    ) -> Result<Arc<dyn MipsSolver>, MipsError> {
-        let factory = Arc::clone(
-            self.registry
-                .get(key)
-                .ok_or_else(|| MipsError::UnknownBackend { key: key.into() })?,
-        );
-        let cell = {
-            let mut map = lock_recovering(&state.shard_solvers);
-            Arc::clone(
-                map.entry(((users.start, users.end), key.to_string()))
-                    .or_default(),
-            )
-        };
-        get_or_build(&cell, || {
-            let started = Instant::now();
-            let view = ModelView::of_range(&state.model, users.clone());
-            let inner = factory.build_view(&view)?;
-            let solver: Arc<dyn MipsSolver> = Arc::new(ShardScopedSolver::new(inner, users.start));
-            stats.builds += 1;
-            stats.build_ns += started.elapsed().as_nanos() as u64;
-            Ok(solver)
-        })
-    }
-
-    /// The shard-local mixed-precision variant — [`Engine::screen_solver_on`]
-    /// over a user-range view, cached under `(bounds, "<key>+f32")` or
-    /// `(bounds, "<key>+i8")` per `kind`.
-    fn screen_shard_solver_on(
-        &self,
-        state: &ModelEpoch,
-        users: &Range<usize>,
-        key: &str,
-        kind: ScreenKind,
-        stats: &mut ShardBuildStats,
-    ) -> Result<Option<Arc<dyn MipsSolver>>, MipsError> {
-        let factory = Arc::clone(
-            self.registry
-                .get(key)
-                .ok_or_else(|| MipsError::UnknownBackend { key: key.into() })?,
-        );
-        let cache_key = format!("{key}{}", kind.suffix());
-        let cell = {
-            let mut map = lock_recovering(&state.shard_solvers);
-            Arc::clone(
-                map.entry(((users.start, users.end), cache_key.clone()))
-                    .or_default(),
-            )
-        };
-        match get_or_build(&cell, || {
-            let started = Instant::now();
-            let view = ModelView::of_range(&state.model, users.clone());
-            let built = match kind {
-                ScreenKind::F32 => factory.build_screen_view(&view),
-                ScreenKind::I8 => factory.build_screen_i8_view(&view),
+                });
             };
-            match built {
-                Some(built) => {
-                    let solver: Arc<dyn MipsSolver> =
-                        Arc::new(ShardScopedSolver::new(built?, users.start));
+            let solver: Arc<dyn MipsSolver> = match users {
+                None => Arc::from(built?),
+                Some(users) => {
+                    let solver = Arc::new(ShardScopedSolver::new(built?, users.start));
                     stats.builds += 1;
                     stats.build_ns += started.elapsed().as_nanos() as u64;
-                    Ok(solver)
+                    solver
                 }
-                None => Err(MipsError::UnknownBackend {
-                    key: cache_key.clone(),
-                }),
-            }
+            };
+            Ok(solver)
         }) {
             Ok(solver) => Ok(Some(solver)),
             Err(MipsError::UnknownBackend { key: k }) if k == cache_key => Ok(None),
             Err(err) => Err(err),
         }
+    }
+
+    /// The candidates `key` contributes under the engine's precision mode,
+    /// over the whole model or (with `users`) over a shard's view:
+    /// [`Precision::F64`] gives the plain build; [`Precision::I8Rescore`]
+    /// substitutes the screen build when the backend has one (labelled
+    /// with the plain key — the mode is forced, not competed); and
+    /// [`Precision::Auto`] adds the screen build as an **extra** candidate
+    /// labelled `"<key>+i8"`, so OPTIMUS prices the two modes against each
+    /// other.
+    fn mode_candidates(
+        &self,
+        state: &ModelEpoch,
+        users: Option<&Range<usize>>,
+        key: &str,
+        stats: &mut ShardBuildStats,
+    ) -> Result<PlanCandidates, MipsError> {
+        let mut build = |screen| self.cached_solver(state, users, key, screen, stats);
+        let plain =
+            |built: Option<Arc<dyn MipsSolver>>| built.expect("every backend has a plain build");
+        Ok(match self.config.precision {
+            Precision::F64 => vec![(key.to_string(), plain(build(false)?))],
+            Precision::I8Rescore => {
+                let solver = match build(true)? {
+                    Some(screen) => screen,
+                    None => plain(build(false)?),
+                };
+                vec![(key.to_string(), solver)]
+            }
+            Precision::Auto => {
+                let mut out = vec![(key.to_string(), plain(build(false)?))];
+                if let Some(screen) = build(true)? {
+                    out.push((format!("{key}{SCREEN_I8_SUFFIX}"), screen));
+                }
+                out
+            }
+        })
     }
 
     /// Serves a request with an explicitly named backend — no planning.
@@ -672,20 +605,16 @@ impl Engine {
     ) -> Result<QueryResponse, MipsError> {
         let state = self.snapshot();
         request.validate(&state.model)?;
-        // Named dispatch honors a forced F32Rescore/I8Rescore (falling
-        // back to the f64 build when the backend has no path for that
-        // tier); under Auto the precision decision belongs to the planner,
-        // so unplanned named requests serve f64-direct.
-        let solver = match self.config.precision {
-            Precision::F32Rescore => match self.screen_solver_on(&state, key, ScreenKind::F32)? {
-                Some(screen) => screen,
-                None => self.solver_on(&state, key)?,
-            },
-            Precision::I8Rescore => match self.screen_solver_on(&state, key, ScreenKind::I8)? {
-                Some(screen) => screen,
-                None => self.solver_on(&state, key)?,
-            },
-            _ => self.solver_on(&state, key)?,
+        // Named dispatch honors a forced I8Rescore (falling back to the
+        // f64 build when the backend has no screen path); under Auto the
+        // precision decision belongs to the planner, so unplanned named
+        // requests serve f64-direct.
+        let solver = if self.config.precision == Precision::Auto {
+            self.solver_on(&state, key)?
+        } else {
+            let mut only =
+                self.mode_candidates(&state, None, key, &mut ShardBuildStats::default())?;
+            only.swap_remove(0).1
         };
         serve(
             &state.model,
@@ -816,56 +745,25 @@ impl Engine {
     }
 
     /// Assembles the planner's candidate list for one epoch under the
-    /// engine's precision mode: registry backends in order, where
-    /// [`Precision::F32Rescore`] and [`Precision::I8Rescore`] substitute
-    /// each backend's screen variant for the forced tier when it has one
-    /// (labelled with the plain key — the mode is forced, not competed),
-    /// and [`Precision::Auto`] adds each available screen variant as an
-    /// **extra** candidate labelled `"<key>+f32"` / `"<key>+i8"` so
-    /// OPTIMUS prices the three modes against each other.
+    /// engine's precision mode: every registry backend in order, with the
+    /// screen variants [`Engine::mode_candidates`] adds.
     fn precision_candidates(&self, state: &ModelEpoch) -> Result<PlanCandidates, MipsError> {
-        let mut keys = Vec::new();
-        let mut solvers: Vec<Arc<dyn MipsSolver>> = Vec::new();
+        let mut candidates = Vec::new();
         for key in self.registry.keys() {
-            match self.config.precision {
-                Precision::F64 => {
-                    keys.push(key.to_string());
-                    solvers.push(self.solver_on(state, key)?);
-                }
-                Precision::F32Rescore => {
-                    let solver = match self.screen_solver_on(state, key, ScreenKind::F32)? {
-                        Some(screen) => screen,
-                        None => self.solver_on(state, key)?,
-                    };
-                    keys.push(key.to_string());
-                    solvers.push(solver);
-                }
-                Precision::I8Rescore => {
-                    let solver = match self.screen_solver_on(state, key, ScreenKind::I8)? {
-                        Some(screen) => screen,
-                        None => self.solver_on(state, key)?,
-                    };
-                    keys.push(key.to_string());
-                    solvers.push(solver);
-                }
-                Precision::Auto => {
-                    keys.push(key.to_string());
-                    solvers.push(self.solver_on(state, key)?);
-                    for kind in [ScreenKind::F32, ScreenKind::I8] {
-                        if let Some(screen) = self.screen_solver_on(state, key, kind)? {
-                            keys.push(format!("{key}{}", kind.suffix()));
-                            solvers.push(screen);
-                        }
-                    }
-                }
-            }
+            candidates.extend(self.mode_candidates(
+                state,
+                None,
+                key,
+                &mut ShardBuildStats::default(),
+            )?);
         }
-        Ok((keys, solvers))
+        Ok(candidates)
     }
 
     /// The planning phase behind [`Engine::prepare`].
     fn plan_for_k(&self, state: &ModelEpoch, k: usize) -> Result<PreparedPlan, MipsError> {
-        let (keys, solvers) = self.precision_candidates(state)?;
+        let (keys, solvers): (Vec<String>, Vec<Arc<dyn MipsSolver>>) =
+            self.precision_candidates(state)?.into_iter().unzip();
         self.planner_runs.fetch_add(1, Ordering::SeqCst);
 
         if solvers.len() == 1 {
@@ -884,7 +782,6 @@ impl Engine {
                 shard_users: None,
                 local_index: false,
                 analytical_bmm_seconds: 0.0,
-                analytical_screen_seconds: 0.0,
                 analytical_sparse_seconds: 0.0,
             });
         }
@@ -905,7 +802,6 @@ impl Engine {
             shard_users: None,
             local_index: false,
             analytical_bmm_seconds: self.analytical_bmm_seconds(&view),
-            analytical_screen_seconds: self.analytical_screen_seconds(&view, &solvers),
             analytical_sparse_seconds: self.analytical_sparse_seconds(&view, &solvers),
         })
     }
@@ -935,49 +831,8 @@ impl Engine {
             ));
         }
         for key in self.registry.keys() {
-            match self.config.precision {
-                Precision::F64 => {
-                    let solver = self.shard_solver_on(state, users, key, stats)?;
-                    candidates.push((key.to_string(), true, solver));
-                }
-                Precision::F32Rescore => {
-                    let solver = match self.screen_shard_solver_on(
-                        state,
-                        users,
-                        key,
-                        ScreenKind::F32,
-                        stats,
-                    )? {
-                        Some(screen) => screen,
-                        None => self.shard_solver_on(state, users, key, stats)?,
-                    };
-                    candidates.push((key.to_string(), true, solver));
-                }
-                Precision::I8Rescore => {
-                    let solver = match self.screen_shard_solver_on(
-                        state,
-                        users,
-                        key,
-                        ScreenKind::I8,
-                        stats,
-                    )? {
-                        Some(screen) => screen,
-                        None => self.shard_solver_on(state, users, key, stats)?,
-                    };
-                    candidates.push((key.to_string(), true, solver));
-                }
-                Precision::Auto => {
-                    let solver = self.shard_solver_on(state, users, key, stats)?;
-                    candidates.push((key.to_string(), true, solver));
-                    for kind in [ScreenKind::F32, ScreenKind::I8] {
-                        if let Some(screen) =
-                            self.screen_shard_solver_on(state, users, key, kind, stats)?
-                        {
-                            candidates.push((format!("{key}{}", kind.suffix()), true, screen));
-                        }
-                    }
-                }
-            }
+            let local = self.mode_candidates(state, Some(users), key, stats)?;
+            candidates.extend(local.into_iter().map(|(key, solver)| (key, true, solver)));
         }
         self.planner_runs.fetch_add(1, Ordering::SeqCst);
 
@@ -999,7 +854,6 @@ impl Engine {
                 shard_users: Some(users.clone()),
                 local_index,
                 analytical_bmm_seconds: 0.0,
-                analytical_screen_seconds: 0.0,
                 analytical_sparse_seconds: 0.0,
             });
         }
@@ -1009,7 +863,6 @@ impl Engine {
             candidates.iter().map(|(_, _, s)| Arc::clone(s)).collect();
         let (winner_idx, choice) = self.run_planner(&view, k, &solvers);
         let analytical_bmm_seconds = self.analytical_bmm_seconds(&view);
-        let analytical_screen_seconds = self.analytical_screen_seconds(&view, &solvers);
         let analytical_sparse_seconds = self.analytical_sparse_seconds(&view, &solvers);
         let (backend_key, local_index, winner) = candidates.swap_remove(winner_idx);
         Ok(PreparedPlan {
@@ -1026,7 +879,6 @@ impl Engine {
             shard_users: Some(users.clone()),
             local_index,
             analytical_bmm_seconds,
-            analytical_screen_seconds,
             analytical_sparse_seconds,
         })
     }
@@ -1050,10 +902,7 @@ impl Engine {
         let refs: Vec<&dyn MipsSolver> = order.iter().map(|&i| solvers[i].as_ref()).collect();
         let mut choice = optimus.choose(view, k, &refs);
 
-        if matches!(
-            refs[choice.chosen].precision(),
-            Precision::F32Rescore | Precision::I8Rescore
-        ) {
+        if refs[choice.chosen].precision() == Precision::I8Rescore {
             if let Some(base) = demote_marginal_screen_winner(&choice.estimates, choice.chosen) {
                 choice.chosen = base;
             }
@@ -1067,25 +916,6 @@ impl Engine {
     /// kernel, cached across epochs and shards).
     fn analytical_bmm_seconds(&self, view: &ModelView) -> f64 {
         self.registry.analytical_bmm().predict_seconds(
-            view.num_users(),
-            view.num_items(),
-            view.num_factors(),
-        )
-    }
-
-    /// The analytical prior for the f32 **screen phase** of the
-    /// mixed-precision path, recorded only when a screen candidate
-    /// actually competed in this plan (so pure-f64 engines never pay the
-    /// f32 calibration). The rescore phase is data-dependent and covered
-    /// by online sampling, like the top-k stage of the f64 prior.
-    fn analytical_screen_seconds(&self, view: &ModelView, solvers: &[Arc<dyn MipsSolver>]) -> f64 {
-        if solvers
-            .iter()
-            .all(|s| s.precision() != Precision::F32Rescore)
-        {
-            return 0.0;
-        }
-        self.registry.analytical_bmm_f32().predict_seconds(
             view.num_users(),
             view.num_items(),
             view.num_factors(),
@@ -1277,6 +1107,7 @@ fn filter_excluded(
 mod tests {
     use super::*;
     use crate::bmm::BmmSolver;
+    use crate::precision::ScanTier;
     use mips_data::synth::{synth_model, SynthConfig};
     use mips_linalg::CacheConfig;
 
@@ -1365,7 +1196,7 @@ mod tests {
             ..mips_lemp::LempConfig::default()
         });
         assert!(matches!(
-            lemp.build(&model(8, 12)),
+            lemp.build(&ModelView::full(&model(8, 12))),
             Err(MipsError::BackendBuild { .. })
         ));
     }
@@ -1421,7 +1252,7 @@ mod tests {
             .with_default_backends()
             .build()
             .unwrap();
-        let direct = BmmSolver::build(Arc::clone(&m)).query_all(5);
+        let direct = BmmSolver::build(&ModelView::full(&m), ScanTier::F64).query_all(5);
         let via_engine = engine.execute_with("bmm", &QueryRequest::top_k(5)).unwrap();
         assert_eq!(via_engine.results, direct);
         assert_eq!(via_engine.backend, "Blocked MM");
@@ -1450,7 +1281,7 @@ mod tests {
             .register(BmmFactory)
             .build()
             .unwrap();
-        let direct = BmmSolver::build(Arc::clone(&m)).query_all(5);
+        let direct = BmmSolver::build(&ModelView::full(&m), ScanTier::F64).query_all(5);
         for u in [0usize, 7, 29] {
             let request = VectorQueryRequest::dense(5, m.users().row(u).to_vec());
             let routed = with_sparse.execute_vector(&request).unwrap();
@@ -2025,44 +1856,11 @@ mod tests {
     }
 
     #[test]
-    fn forced_f32_rescore_serves_bit_identically_and_reports_precision() {
-        let m = model(40, 120);
-        let f64_engine = EngineBuilder::new()
-            .model(Arc::clone(&m))
-            .register(BmmFactory)
-            .build()
-            .unwrap();
-        let f32_engine = EngineBuilder::new()
-            .model(Arc::clone(&m))
-            .register(BmmFactory)
-            .precision(Precision::F32Rescore)
-            .build()
-            .unwrap();
-        let request = QueryRequest::top_k(5);
-        let want = f64_engine.execute(&request).unwrap();
-        let got = f32_engine.execute(&request).unwrap();
-        assert_eq!(want.precision, Precision::F64);
-        assert_eq!(got.precision, Precision::F32Rescore);
-        assert_eq!(got.backend, "Blocked MM+f32");
-        for (g, w) in got.results.iter().zip(&want.results) {
-            assert_eq!(g.items, w.items);
-            for (a, b) in g.scores.iter().zip(&w.scores) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-        // The plan records the effective mode too.
-        assert_eq!(
-            f32_engine.prepare(5).unwrap().precision(),
-            Precision::F32Rescore
-        );
-    }
-
-    #[test]
-    fn forced_f32_rescore_on_screenless_backend_degrades_to_f64() {
+    fn forced_i8_rescore_on_screenless_backend_degrades_to_f64() {
         let engine = EngineBuilder::new()
             .model(model(20, 40))
             .register(FexiproFactory::si())
-            .precision(Precision::F32Rescore)
+            .precision(Precision::I8Rescore)
             .build()
             .unwrap();
         let response = engine.execute(&QueryRequest::top_k(3)).unwrap();
@@ -2083,40 +1881,26 @@ mod tests {
         };
         // Screen barely ahead of its base (within the noise margin): the
         // exact-direct incumbent keeps the plan.
-        let noisy = [estimate("LEMP", 1.00), estimate("LEMP+f32", 0.95)];
+        let noisy = [estimate("LEMP", 1.00), estimate("LEMP+i8", 0.95)];
         assert_eq!(demote_marginal_screen_winner(&noisy, 1), Some(0));
         // Screen clearly faster than the margin: adoption stands.
-        let clear = [estimate("LEMP", 1.00), estimate("LEMP+f32", 0.60)];
+        let clear = [estimate("LEMP", 1.00), estimate("LEMP+i8", 0.60)];
         assert_eq!(demote_marginal_screen_winner(&clear, 1), None);
         // Exactly at the margin boundary counts as clearly faster (the
         // demotion predicate is strict).
         let edge = [
             estimate("LEMP", 1.00),
-            estimate("LEMP+f32", SCREEN_ADOPTION_MARGIN),
+            estimate("LEMP+i8", SCREEN_ADOPTION_MARGIN),
         ];
         assert_eq!(demote_marginal_screen_winner(&edge, 1), None);
         // Sub-millisecond requests: even a clear relative win saves less
         // absolute time than the noise floor — the incumbent keeps it.
-        let tiny = [estimate("LEMP", 900e-6), estimate("LEMP+f32", 500e-6)];
+        let tiny = [estimate("LEMP", 900e-6), estimate("LEMP+i8", 500e-6)];
         assert_eq!(demote_marginal_screen_winner(&tiny, 1), Some(0));
-        // Forced-f32 mode: screens run under plain keys, so a suffixed
+        // Forced-i8 mode: screens run under plain keys, so a suffixed
         // winner has no base twin — nothing to demote to.
-        let forced = [estimate("Blocked MM", 1.0), estimate("Maximus+f32", 0.99)];
+        let forced = [estimate("Blocked MM", 1.0), estimate("Maximus+i8", 0.99)];
         assert_eq!(demote_marginal_screen_winner(&forced, 1), None);
-        // The int8 tier rides the same adoption discipline: marginal `+i8`
-        // winners demote to their f64 base, clear wins stand, and an i8
-        // winner never demotes to the `+f32` sibling (the base is the
-        // plain key, not the other screen tier).
-        let noisy_i8 = [estimate("LEMP", 1.00), estimate("LEMP+i8", 0.95)];
-        assert_eq!(demote_marginal_screen_winner(&noisy_i8, 1), Some(0));
-        let clear_i8 = [estimate("LEMP", 1.00), estimate("LEMP+i8", 0.60)];
-        assert_eq!(demote_marginal_screen_winner(&clear_i8, 1), None);
-        let three_way = [
-            estimate("LEMP", 1.00),
-            estimate("LEMP+f32", 0.70),
-            estimate("LEMP+i8", 0.95),
-        ];
-        assert_eq!(demote_marginal_screen_winner(&three_way, 2), Some(0));
     }
 
     #[test]
@@ -2129,18 +1913,11 @@ mod tests {
             .build()
             .unwrap();
         let plan = engine.prepare(4).unwrap();
-        // 5 registry backends + 2 screen tiers × 3 screening backends
+        // The registry backends + one screen variant per screening backend
         // (bmm, maximus, lemp).
-        assert_eq!(plan.estimates().len(), engine.registry().keys().len() + 6);
+        assert_eq!(plan.estimates().len(), engine.registry().keys().len() + 3);
         let names: Vec<&str> = plan.estimates().iter().map(|e| e.name.as_str()).collect();
-        for screened in [
-            "Blocked MM+f32",
-            "Maximus+f32",
-            "LEMP+f32",
-            "Blocked MM+i8",
-            "Maximus+i8",
-            "LEMP+i8",
-        ] {
+        for screened in ["Blocked MM+i8", "Maximus+i8", "LEMP+i8"] {
             assert!(names.contains(&screened), "{screened} missing in {names:?}");
         }
         // Whatever Auto picked, results match the pure-f64 engine's winner
@@ -2157,34 +1934,7 @@ mod tests {
         for (g, w) in auto.results.iter().zip(&want.results) {
             assert_eq!(g.items, w.items);
         }
-        // A screen candidate competed, so the f32 analytical prior is
-        // recorded alongside the f64 one.
-        assert!(plan.analytical_screen_seconds() > 0.0);
         assert!(plan.analytical_bmm_seconds() > 0.0);
-    }
-
-    #[test]
-    fn named_dispatch_under_forced_f32_uses_the_screen_variant() {
-        let engine = EngineBuilder::new()
-            .model(model(30, 90))
-            .with_default_backends()
-            .optimus(tiny_optimus())
-            .precision(Precision::F32Rescore)
-            .build()
-            .unwrap();
-        let request = QueryRequest::top_k(3);
-        for (key, name) in [
-            ("bmm", "Blocked MM+f32"),
-            ("lemp", "LEMP+f32"),
-            ("maximus", "Maximus+f32"),
-        ] {
-            let response = engine.execute_with(key, &request).unwrap();
-            assert_eq!(response.backend, name);
-            assert_eq!(response.precision, Precision::F32Rescore, "{key}");
-        }
-        // Screenless backends still answer, f64-direct.
-        let fex = engine.execute_with("fexipro-si", &request).unwrap();
-        assert_eq!(fex.precision, Precision::F64);
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! The open backend registry.
 //!
-//! The seed design hard-coded every solver in a `match` inside
-//! `Strategy::build`; adding a backend meant editing `mips-core`. The
-//! registry inverts that: a backend is anything implementing
-//! [`SolverFactory`], registered under a string key. The built-in solvers
-//! ship as factories ([`BmmFactory`], [`MaximusFactory`], [`LempFactory`],
-//! [`FexiproFactory`]), and downstream crates can register their own with
-//! [`FnFactory`] or a custom type — the planner treats all of them alike.
+//! A backend is anything implementing [`SolverFactory`], registered under a
+//! string key. The built-in solvers ship as factories ([`BmmFactory`],
+//! [`MaximusFactory`], [`LempFactory`], [`FexiproFactory`]), and downstream
+//! crates can register their own with [`FnFactory`] or a custom type — the
+//! planner treats all of them alike.
 
 use super::error::MipsError;
 use crate::adapters::{FexiproSolver, LempSolver, SparseSolver};
 use crate::bmm::BmmSolver;
 use crate::maximus::{MaximusConfig, MaximusIndex};
 use crate::optimus::cost::{AnalyticalBmmModel, AnalyticalSparseModel};
+use crate::precision::ScanTier;
 use crate::solver::MipsSolver;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex};
@@ -31,66 +30,24 @@ pub trait SolverFactory: Send + Sync {
     /// Stable registry key (`"bmm"`, `"maximus"`, `"lemp"`, …).
     fn key(&self) -> &str;
 
-    /// Constructs a solver over `model`.
-    fn build(&self, model: &Arc<MfModel>) -> Result<Box<dyn MipsSolver>, MipsError>;
+    /// Constructs a solver over a contiguous user-range view of a model.
+    /// The produced solver addresses users by **local** row
+    /// (`0..view.num_users()`); a [`ModelView::full`] view serves the whole
+    /// model. Factories whose solver only speaks [`MfModel`] call
+    /// [`ModelView::to_model`], which hands a full view's model back with
+    /// no copy and materializes a proper slice with one `memcpy` of the
+    /// contiguous factor block.
+    fn build(&self, view: &ModelView) -> Result<Box<dyn MipsSolver>, MipsError>;
 
-    /// Constructs a solver over a contiguous user-range view of a model
-    /// (shard-local index construction). The produced solver addresses
-    /// users by **local** row (`0..view.num_users()`).
-    ///
-    /// The default materializes the view into a sub-model (one `memcpy` of
-    /// the contiguous factor block) and delegates to
-    /// [`SolverFactory::build`], so every existing factory is view-capable
-    /// unchanged; factories whose solver can serve straight off the parent
-    /// matrix override this to skip even that copy ([`BmmFactory`] does).
-    fn build_view(&self, view: &ModelView) -> Result<Box<dyn MipsSolver>, MipsError> {
-        self.build(&view.to_model())
-    }
-
-    /// Constructs the mixed-precision variant of this backend — scans
-    /// screen in f32 with a conservative error envelope, survivors are
-    /// rescored in f64, results stay bit-identical (see
-    /// [`mips_topk::screen`]). `None` (the default) means the backend has
-    /// no screen path: the engine then serves it f64-direct under every
-    /// [`Precision`](crate::precision::Precision) setting.
-    fn build_screen(
-        &self,
-        _model: &Arc<MfModel>,
-    ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
+    /// Constructs the int8-screen variant of this backend over `view` —
+    /// scans run exact integer dots over symmetric int8 codes with a
+    /// quantization envelope, survivors are rescored in f64, results stay
+    /// bit-identical (see [`mips_topk::screen_i8`]). `None` (the default)
+    /// means the backend has no screen path: the engine then serves it
+    /// f64-direct under every [`Precision`](crate::precision::Precision)
+    /// setting.
+    fn build_screen(&self, _view: &ModelView) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
         None
-    }
-
-    /// Shard-local [`SolverFactory::build_screen`] over a user-range view.
-    /// The default materializes the view into a sub-model like
-    /// [`SolverFactory::build_view`]; zero-copy factories override it.
-    fn build_screen_view(
-        &self,
-        view: &ModelView,
-    ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        self.build_screen(&view.to_model())
-    }
-
-    /// Constructs the int8 screen variant of this backend — scans run
-    /// exact integer dots over symmetric int8 codes with a quantization
-    /// envelope, survivors are rescored in f64, results stay bit-identical
-    /// (see [`mips_topk::screen_i8`]). `None` (the default) means the
-    /// backend has no i8 path: the engine then serves it f64-direct under
-    /// every [`Precision`](crate::precision::Precision) setting.
-    fn build_screen_i8(
-        &self,
-        _model: &Arc<MfModel>,
-    ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        None
-    }
-
-    /// Shard-local [`SolverFactory::build_screen_i8`] over a user-range
-    /// view; defaults to materializing the view like
-    /// [`SolverFactory::build_view`], zero-copy factories override it.
-    fn build_screen_i8_view(
-        &self,
-        view: &ModelView,
-    ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        self.build_screen_i8(&view.to_model())
     }
 }
 
@@ -103,43 +60,16 @@ impl SolverFactory for BmmFactory {
         "bmm"
     }
 
-    fn build(&self, model: &Arc<MfModel>) -> Result<Box<dyn MipsSolver>, MipsError> {
-        Ok(Box::new(BmmSolver::build(Arc::clone(model))))
-    }
-
-    fn build_view(&self, view: &ModelView) -> Result<Box<dyn MipsSolver>, MipsError> {
+    fn build(&self, view: &ModelView) -> Result<Box<dyn MipsSolver>, MipsError> {
         // Zero-copy: the solver reads the parent factor matrix through the
         // view's offset, no sub-model is materialized.
-        Ok(Box::new(BmmSolver::build_view(view)))
+        Ok(Box::new(BmmSolver::build(view, ScanTier::F64)))
     }
 
-    fn build_screen(&self, model: &Arc<MfModel>) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        Some(Ok(Box::new(BmmSolver::build_screen(Arc::clone(model)))))
-    }
-
-    fn build_screen_view(
-        &self,
-        view: &ModelView,
-    ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        // Zero-copy like build_view; the f32 mirror is shared with the
-        // parent model, so sibling shards reuse one rounding pass.
-        Some(Ok(Box::new(BmmSolver::build_screen_view(view))))
-    }
-
-    fn build_screen_i8(
-        &self,
-        model: &Arc<MfModel>,
-    ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        Some(Ok(Box::new(BmmSolver::build_screen_i8(Arc::clone(model)))))
-    }
-
-    fn build_screen_i8_view(
-        &self,
-        view: &ModelView,
-    ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        // Zero-copy like build_view; the int8 mirror is shared with the
-        // parent model, so sibling shards reuse one quantization pass.
-        Some(Ok(Box::new(BmmSolver::build_screen_i8_view(view))))
+    fn build_screen(&self, view: &ModelView) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
+        // Zero-copy like `build`; the int8 mirror is shared with the parent
+        // model, so sibling shards reuse one quantization pass.
+        Some(Ok(Box::new(BmmSolver::build(view, ScanTier::I8))))
     }
 }
 
@@ -158,9 +88,13 @@ impl MaximusFactory {
 }
 
 impl MaximusFactory {
-    /// The config checks `MaximusIndex::build` would otherwise assert on,
-    /// surfaced as typed errors (shared by the plain and screen builds).
-    fn validate_config(&self) -> Result<(), MipsError> {
+    /// Builds the index at `tier`, surfacing the config checks
+    /// `MaximusIndex::build` would otherwise assert on as typed errors.
+    fn build_tier(
+        &self,
+        view: &ModelView,
+        tier: ScanTier,
+    ) -> Result<Box<dyn MipsSolver>, MipsError> {
         for (value, name) in [
             (self.config.num_clusters, "num_clusters"),
             (self.config.kmeans_iters, "kmeans_iters"),
@@ -173,7 +107,11 @@ impl MaximusFactory {
                 });
             }
         }
-        Ok(())
+        Ok(Box::new(MaximusIndex::build(
+            view.to_model(),
+            &self.config,
+            tier,
+        )))
     }
 }
 
@@ -182,35 +120,16 @@ impl SolverFactory for MaximusFactory {
         "maximus"
     }
 
-    fn build(&self, model: &Arc<MfModel>) -> Result<Box<dyn MipsSolver>, MipsError> {
-        self.validate_config()?;
-        Ok(Box::new(MaximusIndex::build(
-            Arc::clone(model),
-            &self.config,
-        )))
+    fn build(&self, view: &ModelView) -> Result<Box<dyn MipsSolver>, MipsError> {
+        self.build_tier(view, ScanTier::F64)
     }
 
-    fn build_screen(&self, model: &Arc<MfModel>) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        Some(self.validate_config().map(|()| {
-            Box::new(MaximusIndex::build_screen(Arc::clone(model), &self.config))
-                as Box<dyn MipsSolver>
-        }))
+    fn build_screen(&self, view: &ModelView) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
+        Some(self.build_tier(view, ScanTier::I8))
     }
 
-    fn build_screen_i8(
-        &self,
-        model: &Arc<MfModel>,
-    ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        Some(self.validate_config().map(|()| {
-            Box::new(MaximusIndex::build_screen_i8(
-                Arc::clone(model),
-                &self.config,
-            )) as Box<dyn MipsSolver>
-        }))
-    }
-
-    // Shard-local builds (the default `build_view`) keep `num_clusters`
-    // as configured, so a view covering a fraction of the users gets
+    // Shard-local builds (over a proper view) keep `num_clusters` as
+    // configured, so a view covering a fraction of the users gets
     // proportionally *finer* clustering — tighter θ_b, harder pruning on
     // norm-skewed catalogs, at the cost of some §III-D work-sharing on
     // flat ones. That diversity is deliberate: it gives `IndexScope::Auto`
@@ -235,9 +154,13 @@ impl LempFactory {
 }
 
 impl LempFactory {
-    /// The config checks `LempIndex::build` would otherwise assert on,
-    /// surfaced as typed errors (shared by the plain and screen builds).
-    fn validate_config(&self) -> Result<(), MipsError> {
+    /// Builds the index at `tier`, surfacing the config checks
+    /// `LempIndex::build` would otherwise assert on as typed errors.
+    fn build_tier(
+        &self,
+        view: &ModelView,
+        tier: ScanTier,
+    ) -> Result<Box<dyn MipsSolver>, MipsError> {
         if self.config.bucket_size == 0 {
             return Err(MipsError::BackendBuild {
                 key: "lemp".to_string(),
@@ -253,7 +176,11 @@ impl LempFactory {
                 ),
             });
         }
-        Ok(())
+        Ok(Box::new(LempSolver::build(
+            view.to_model(),
+            &self.config,
+            tier,
+        )))
     }
 }
 
@@ -262,26 +189,12 @@ impl SolverFactory for LempFactory {
         "lemp"
     }
 
-    fn build(&self, model: &Arc<MfModel>) -> Result<Box<dyn MipsSolver>, MipsError> {
-        self.validate_config()?;
-        Ok(Box::new(LempSolver::build(Arc::clone(model), &self.config)))
+    fn build(&self, view: &ModelView) -> Result<Box<dyn MipsSolver>, MipsError> {
+        self.build_tier(view, ScanTier::F64)
     }
 
-    fn build_screen(&self, model: &Arc<MfModel>) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        Some(self.validate_config().map(|()| {
-            Box::new(LempSolver::build_screen(Arc::clone(model), &self.config))
-                as Box<dyn MipsSolver>
-        }))
-    }
-
-    fn build_screen_i8(
-        &self,
-        model: &Arc<MfModel>,
-    ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        Some(self.validate_config().map(|()| {
-            Box::new(LempSolver::build_screen_i8(Arc::clone(model), &self.config))
-                as Box<dyn MipsSolver>
-        }))
+    fn build_screen(&self, view: &ModelView) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
+        Some(self.build_tier(view, ScanTier::I8))
     }
 }
 
@@ -315,9 +228,9 @@ impl SolverFactory for FexiproFactory {
         self.key
     }
 
-    fn build(&self, model: &Arc<MfModel>) -> Result<Box<dyn MipsSolver>, MipsError> {
+    fn build(&self, view: &ModelView) -> Result<Box<dyn MipsSolver>, MipsError> {
         Ok(Box::new(FexiproSolver::build(
-            Arc::clone(model),
+            view.to_model(),
             &self.config,
         )))
     }
@@ -355,17 +268,15 @@ impl SolverFactory for SparseFactory {
         "sparse"
     }
 
-    fn build(&self, model: &Arc<MfModel>) -> Result<Box<dyn MipsSolver>, MipsError> {
+    fn build(&self, view: &ModelView) -> Result<Box<dyn MipsSolver>, MipsError> {
         self.validate_config()?;
-        Ok(Box::new(SparseSolver::build(
-            Arc::clone(model),
-            &self.config,
-        )))
+        Ok(Box::new(SparseSolver::build(view.to_model(), &self.config)))
     }
 }
 
 /// Adapts a closure into a [`SolverFactory`] — the quickest way to register
-/// a custom backend.
+/// a custom backend. The closure receives the model the view covers
+/// ([`ModelView::to_model`]).
 pub struct FnFactory<F> {
     key: String,
     build: F,
@@ -392,8 +303,8 @@ where
         &self.key
     }
 
-    fn build(&self, model: &Arc<MfModel>) -> Result<Box<dyn MipsSolver>, MipsError> {
-        (self.build)(model)
+    fn build(&self, view: &ModelView) -> Result<Box<dyn MipsSolver>, MipsError> {
+        (self.build)(&view.to_model())
     }
 }
 
@@ -411,9 +322,9 @@ where
 #[derive(Clone, Default)]
 pub struct BackendRegistry {
     factories: Vec<Arc<dyn SolverFactory>>,
-    /// Calibrated rate per `(kernel name, f32?)`. Behind an `Arc` so engine
-    /// builders that clone the registry keep sharing one cache.
-    calibration: Arc<Mutex<HashMap<(&'static str, bool), AnalyticalBmmModel>>>,
+    /// Calibrated rate per kernel name. Behind an `Arc` so engine builders
+    /// that clone the registry keep sharing one cache.
+    calibration: Arc<Mutex<HashMap<&'static str, AnalyticalBmmModel>>>,
     /// How many real calibration measurements have run (tests assert the
     /// cache actually dedupes across epochs and shards).
     calibration_runs: Arc<AtomicU64>,
@@ -442,31 +353,16 @@ impl BackendRegistry {
     /// single measurement instead of re-timing a `256³` GEMM on their
     /// first plan.
     pub fn analytical_bmm(&self) -> AnalyticalBmmModel {
-        self.calibrated(false)
-    }
-
-    /// The calibrated FLOP rate of the **single-precision** screen
-    /// kernels, cached like [`BackendRegistry::analytical_bmm`] — the
-    /// planner's prior for the scan phase of the mixed-precision path.
-    pub fn analytical_bmm_f32(&self) -> AnalyticalBmmModel {
-        self.calibrated(true)
-    }
-
-    fn calibrated(&self, f32_rate: bool) -> AnalyticalBmmModel {
         let kernel = mips_linalg::simd::active().name();
         let mut cache = super::lock_recovering(&self.calibration);
-        if let Some(model) = cache.get(&(kernel, f32_rate)) {
+        if let Some(model) = cache.get(kernel) {
             return *model;
         }
         // Calibration is a few milliseconds; holding the lock dedupes
         // concurrent first callers onto one measurement.
-        let model = if f32_rate {
-            AnalyticalBmmModel::calibrate_f32()
-        } else {
-            AnalyticalBmmModel::calibrate()
-        };
+        let model = AnalyticalBmmModel::calibrate();
         self.calibration_runs.fetch_add(1, Ordering::Relaxed);
-        cache.insert((kernel, f32_rate), model);
+        cache.insert(kernel, model);
         model
     }
 
@@ -596,7 +492,7 @@ mod tests {
         );
         let m = model();
         for factory in registry.factories() {
-            let solver = factory.build(&m).expect("builtin builds");
+            let solver = factory.build(&ModelView::full(&m)).expect("builtin builds");
             assert_eq!(solver.num_users(), 12);
             assert_eq!(solver.query_all(2).len(), 12);
         }
@@ -608,8 +504,10 @@ mod tests {
         let m = model();
         let view = ModelView::of_range(&m, 3..9);
         for factory in registry.factories() {
-            let over_view = factory.build_view(&view).expect("view build");
-            let over_model = factory.build(&view.to_model()).expect("model build");
+            let over_view = factory.build(&view).expect("view build");
+            let over_model = factory
+                .build(&ModelView::full(&view.to_model()))
+                .expect("model build");
             assert_eq!(over_view.num_users(), 6, "{}", factory.key());
             assert_eq!(
                 over_view.query_all(3),
@@ -621,43 +519,12 @@ mod tests {
     }
 
     #[test]
-    fn screen_builds_cover_the_scan_backends_and_stay_bit_identical() {
-        let registry = BackendRegistry::with_defaults();
-        let m = model();
-        for factory in registry.factories() {
-            let has_screen = matches!(factory.key(), "bmm" | "maximus" | "lemp");
-            match factory.build_screen(&m) {
-                None => assert!(!has_screen, "{} lost its screen path", factory.key()),
-                Some(built) => {
-                    assert!(has_screen, "{} unexpectedly screens", factory.key());
-                    let screened = built.expect("screen build");
-                    assert_eq!(
-                        screened.precision(),
-                        crate::precision::Precision::F32Rescore,
-                        "{}",
-                        factory.key()
-                    );
-                    let plain = factory.build(&m).expect("plain build");
-                    let want = plain.query_all(3);
-                    let got = screened.query_all(3);
-                    for (g, w) in got.iter().zip(&want) {
-                        assert_eq!(g.items, w.items, "{}", factory.key());
-                        for (a, b) in g.scores.iter().zip(&w.scores) {
-                            assert_eq!(a.to_bits(), b.to_bits(), "{}", factory.key());
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn screen_i8_builds_cover_the_scan_backends_and_stay_bit_identical() {
         let registry = BackendRegistry::with_defaults();
         let m = model();
         for factory in registry.factories() {
             let has_i8 = matches!(factory.key(), "bmm" | "maximus" | "lemp");
-            match factory.build_screen_i8(&m) {
+            match factory.build_screen(&ModelView::full(&m)) {
                 None => assert!(!has_i8, "{} lost its i8 path", factory.key()),
                 Some(built) => {
                     assert!(has_i8, "{} unexpectedly screens in i8", factory.key());
@@ -668,7 +535,7 @@ mod tests {
                         "{}",
                         factory.key()
                     );
-                    let plain = factory.build(&m).expect("plain build");
+                    let plain = factory.build(&ModelView::full(&m)).expect("plain build");
                     let want = plain.query_all(3);
                     let got = screened.query_all(3);
                     for (g, w) in got.iter().zip(&want) {
@@ -713,13 +580,19 @@ mod tests {
             .register(Arc::new(FnFactory::new(
                 "custom-bmm",
                 |m: &Arc<MfModel>| {
-                    Ok(Box::new(crate::bmm::BmmSolver::build(Arc::clone(m)))
-                        as Box<dyn MipsSolver>)
+                    Ok(
+                        Box::new(BmmSolver::build(&ModelView::full(m), ScanTier::F64))
+                            as Box<dyn MipsSolver>,
+                    )
                 },
             )))
             .unwrap();
         assert_eq!(registry.keys(), vec!["custom-bmm"]);
-        let solver = registry.get("custom-bmm").unwrap().build(&model()).unwrap();
+        let solver = registry
+            .get("custom-bmm")
+            .unwrap()
+            .build(&ModelView::full(&model()))
+            .unwrap();
         assert_eq!(solver.name(), "Blocked MM");
     }
 }

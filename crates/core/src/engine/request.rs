@@ -327,7 +327,7 @@ pub struct QueryResponse {
     /// Display name of the backend that served the request.
     pub backend: String,
     /// The numeric path the serving solver ran: `f64` (direct) or
-    /// `f32-rescore` (f32 screen + exact f64 rescore — see
+    /// `i8-rescore` (int8 screen + exact f64 rescore — see
     /// [`crate::precision::Precision`]). Results are bit-identical either
     /// way; this annotates how they were computed, never what they are.
     pub precision: crate::precision::Precision,

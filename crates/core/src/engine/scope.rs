@@ -167,6 +167,7 @@ impl MipsSolver for ShardScopedSolver {
 mod tests {
     use super::*;
     use crate::bmm::BmmSolver;
+    use crate::precision::ScanTier;
     use crate::sync::Arc;
     use mips_data::synth::{synth_model, SynthConfig};
     use mips_data::ModelView;
@@ -179,10 +180,10 @@ mod tests {
             num_factors: 6,
             ..SynthConfig::default()
         }));
-        let global = BmmSolver::build(Arc::clone(&model));
+        let global = BmmSolver::build(&ModelView::full(&model), ScanTier::F64);
         let view = ModelView::of_range(&model, 10..22);
         let scoped = ShardScopedSolver::new(
-            Box::new(BmmSolver::build_view(&view)),
+            Box::new(BmmSolver::build(&view, ScanTier::F64)),
             view.user_range().start,
         );
         assert_eq!(scoped.num_users(), 22);
@@ -206,7 +207,7 @@ mod tests {
             ..SynthConfig::default()
         }));
         let view = ModelView::of_range(&model, 8..16);
-        let scoped = ShardScopedSolver::new(Box::new(BmmSolver::build_view(&view)), 8);
+        let scoped = ShardScopedSolver::new(Box::new(BmmSolver::build(&view, ScanTier::F64)), 8);
         let _ = scoped.query_subset(1, &[7]);
     }
 

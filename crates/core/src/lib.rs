@@ -27,10 +27,9 @@
 //!   The engine invokes it through [`Optimus::choose`](optimus::Optimus::choose)
 //!   as its query planner.
 //! * [`solver`] — the [`solver::MipsSolver`] trait every backend
-//!   implements, plus the legacy [`solver::Strategy`] enum, kept as a thin
-//!   compatibility shim over the engine's registry keys.
+//!   implements.
 //! * [`parallel`] — user-partitioned multi-core serving (Fig. 6). New code
-//!   reaches it by setting [`engine::EngineConfig::threads`]; the free
+//!   reaches it by setting [`engine::EngineOptions::threads`]; the free
 //!   functions remain for direct solver access.
 //! * [`serve`] — the sharded concurrent serving runtime: a
 //!   [`MipsServer`] fronts an engine with contiguous
@@ -77,19 +76,15 @@ pub mod verify;
 
 pub use adapters::{FexiproSolver, LempSolver, SparseSolver};
 pub use bmm::BmmSolver;
-#[allow(deprecated)]
-pub use engine::EngineConfig;
 pub use engine::{
     BackendRegistry, Engine, EngineBuilder, EngineOptions, ExclusionSet, MipsError, PreparedPlan,
     QueryRequest, QueryResponse, SolverFactory, UserSelection,
 };
 pub use maximus::{MaximusConfig, MaximusIndex};
 pub use optimus::{Optimus, OptimusConfig, OptimusOutcome};
-pub use precision::Precision;
-#[allow(deprecated)]
-pub use serve::ServerConfig;
+pub use precision::{Precision, ScanTier};
 pub use serve::{
     LatencySnapshot, MipsServer, ResponseHandle, ServeOptions, ServerBuilder, ServerMetrics,
     ShardMetrics,
 };
-pub use solver::{MipsSolver, Strategy};
+pub use solver::MipsSolver;

@@ -16,12 +16,13 @@
 pub mod bound;
 
 use crate::maximus::bound::stored_bound;
+use crate::precision::{Precision, ScanTier};
 use crate::solver::{MipsSolver, ScreenTally, ScreenTallyCells};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Arc;
 use mips_clustering::{kmeans, max_angles_per_cluster, KMeansConfig};
 use mips_data::MfModel;
-use mips_linalg::kernels::{angle, dot, dot_gemm_ordered_x4, f32_screen_envelope_parts, norm2};
+use mips_linalg::kernels::{angle, dot, dot_gemm_ordered_x4, norm2};
 use mips_linalg::{dot_i8, i8_screen_envelope_parts, quantize_row_i8, GemmScratch, Matrix};
 use mips_topk::{stream_topk_into_heaps, ColumnIds, TopKHeap, TopKList};
 use std::ops::Range;
@@ -95,8 +96,7 @@ pub struct MaximusQueryStats {
     /// Items skipped by early termination.
     pub items_pruned: AtomicU64,
     /// Walked items whose exact dot (and guaranteed-rejected push) the
-    /// mixed-precision screen — f32 or int8 — skipped; counted neither as
-    /// walked nor pruned.
+    /// int8 screen skipped; counted neither as walked nor pruned.
     pub items_screen_pruned: AtomicU64,
 }
 
@@ -129,11 +129,8 @@ struct ClusterIndex {
     /// Item vectors gathered in list order (the `O(|C||I|f)` storage of
     /// §III-D; sequential walks instead of random model access).
     items: Matrix<f64>,
-    /// Rounded single-precision mirror of `items`, present only when the
-    /// mixed-precision screen is enabled ([`MaximusIndex::enable_screen`]).
-    items32: Option<Matrix<f32>>,
     /// Symmetric int8 mirror of `items` in list order, present only when
-    /// the int8 screen is enabled ([`MaximusIndex::enable_screen_i8`]).
+    /// the int8 screen is enabled ([`ScanTier::I8`]).
     items_i8: Option<ClusterI8>,
     /// Members (user ids) of this cluster.
     members: Vec<u32>,
@@ -152,22 +149,13 @@ struct ClusterI8 {
     l1: Vec<f64>,
 }
 
-/// Per-user screen state for the list walk, set up once per user from the
-/// cluster's enabled tier.
-enum UserScreen<'a> {
-    F32 {
-        m32: &'a Matrix<f32>,
-        user32: Vec<f32>,
-        env_rel_u: f64,
-        env_abs: f64,
-    },
-    I8 {
-        ci: &'a ClusterI8,
-        codes: Vec<i8>,
-        inv_su: f64,
-        env_a: f64,
-        env_b: f64,
-    },
+/// Per-user int8 screen state for the list walk, set up once per user.
+struct UserScreen<'a> {
+    ci: &'a ClusterI8,
+    codes: Vec<i8>,
+    inv_su: f64,
+    env_a: f64,
+    env_b: f64,
 }
 
 /// The built MAXIMUS index.
@@ -184,16 +172,28 @@ pub struct MaximusIndex {
     /// layer ([`MipsSolver::take_screen_stats`]); separate from
     /// [`MaximusQueryStats`], whose counters benches read cumulatively.
     screen_tally: ScreenTallyCells,
-    screening: bool,
     screening_i8: bool,
 }
 
 impl MaximusIndex {
     /// Builds the index: cluster users, compute θ_b, sort item lists.
     ///
+    /// [`ScanTier::I8`] also arms the int8 screen on the **list walk**:
+    /// each cluster gathers symmetric int8 codes (plus reconstruction
+    /// scales and L1 norms) from the model's shared [`mips_data::MirrorI8`]
+    /// in list order, and walked items are pre-scored with exact integer
+    /// dots — the exact f64 dot and its push are skipped only when the
+    /// quantization-envelope-widened estimate proves the push would be
+    /// rejected, so results stay bit-identical. The §III-D blocked prefix
+    /// stays f64 (it is GEMM-bound; the `bmm` screen variant covers that
+    /// regime), as does the §III-E new-vector path. A model whose
+    /// quantization is degenerate — subnormal rows or factor counts past
+    /// the i32-overflow cap — builds the plain f64 index. The gather pass
+    /// is timed into `build_seconds`.
+    ///
     /// # Panics
     /// Panics on a degenerate configuration.
-    pub fn build(model: Arc<MfModel>, config: &MaximusConfig) -> MaximusIndex {
+    pub fn build(model: Arc<MfModel>, config: &MaximusConfig, tier: ScanTier) -> MaximusIndex {
         assert!(
             config.num_clusters > 0,
             "MaximusConfig: num_clusters must be > 0"
@@ -243,7 +243,7 @@ impl MaximusIndex {
             .collect();
         let construction_seconds = t1.elapsed().as_secs_f64();
 
-        MaximusIndex {
+        let mut index = MaximusIndex {
             assignments: clustering.assignments,
             centroids: clustering.centroids,
             clusters,
@@ -256,60 +256,17 @@ impl MaximusIndex {
             query_stats: MaximusQueryStats::default(),
             screen_tally: ScreenTallyCells::default(),
             model,
-            screening: false,
             screening_i8: false,
+        };
+        if tier == ScanTier::I8 {
+            index.enable_screen_i8();
         }
-    }
-
-    /// [`MaximusIndex::build`] with the mixed-precision screen enabled.
-    pub fn build_screen(model: Arc<MfModel>, config: &MaximusConfig) -> MaximusIndex {
-        let mut index = MaximusIndex::build(model, config);
-        index.enable_screen();
         index
     }
 
-    /// [`MaximusIndex::build`] with the int8 screen enabled (when the
-    /// model quantizes usably — degenerate models build the plain index).
-    pub fn build_screen_i8(model: Arc<MfModel>, config: &MaximusConfig) -> MaximusIndex {
-        let mut index = MaximusIndex::build(model, config);
-        index.enable_screen_i8();
-        index
-    }
-
-    /// Enables the mixed-precision screen on the **list walk**: each
-    /// cluster's gathered item matrix gets a rounded f32 mirror, and walked
-    /// items are pre-scored through the single-precision kernels — the
-    /// exact dot and its push are skipped only when the
-    /// [`mips_linalg::f32_screen_envelope`]-widened screen score proves the
-    /// push would be rejected, so results stay bit-identical. The §III-D
-    /// blocked prefix stays f64 (it is GEMM-bound; the `bmm` screen variant
-    /// covers that regime), as does the §III-E new-vector path. The
-    /// rounding pass is timed into `build_seconds`. Idempotent.
-    pub fn enable_screen(&mut self) {
-        let t = Instant::now();
-        for c in &mut self.clusters {
-            if c.items32.is_none() {
-                let (n, f) = (c.items.rows(), c.items.cols());
-                let mirror = Matrix::from_fn(n, f, |r, j| c.items.get(r, j) as f32);
-                c.items32 = Some(mirror);
-            }
-        }
-        self.screening = true;
-        self.build_seconds += t.elapsed().as_secs_f64();
-    }
-
-    /// Enables the int8 screen on the **list walk** — the tier below
-    /// [`MaximusIndex::enable_screen`]: each cluster gathers symmetric int8
-    /// codes (plus reconstruction scales and L1 norms) from the model's
-    /// shared [`mips_data::MirrorI8`] in list order, and walked items are
-    /// pre-scored with exact integer dots — the exact f64 dot and its push
-    /// are skipped only when the quantization-envelope-widened estimate
-    /// proves the push would be rejected, so results stay bit-identical.
-    /// No-op (the index keeps its plain f64 identity) when the model's
-    /// quantization is degenerate — subnormal rows or factor counts past
-    /// the i32-overflow cap. Takes precedence over an armed f32 screen.
-    /// The gather pass is timed into `build_seconds`. Idempotent.
-    pub fn enable_screen_i8(&mut self) {
+    /// Arms the int8 walk screen (see [`MaximusIndex::build`]); a no-op on
+    /// models whose quantization is degenerate.
+    fn enable_screen_i8(&mut self) {
         let t = Instant::now();
         let mirror = self.model.mirror_i8();
         if !mirror.is_usable() {
@@ -317,34 +274,27 @@ impl MaximusIndex {
         }
         let f = self.model.num_factors();
         for c in &mut self.clusters {
-            if c.items_i8.is_none() {
-                let n = c.list_ids.len();
-                let mut codes = vec![0i8; n * f];
-                let mut inv_scales = Vec::with_capacity(n);
-                let mut l1 = Vec::with_capacity(n);
-                for (pos, &id) in c.list_ids.iter().enumerate() {
-                    codes[pos * f..(pos + 1) * f].copy_from_slice(mirror.item_row(id as usize));
-                    inv_scales.push(mirror.item_inv_scales()[id as usize]);
-                    l1.push(mirror.item_l1()[id as usize]);
-                }
-                c.items_i8 = Some(ClusterI8 {
-                    codes,
-                    inv_scales,
-                    l1,
-                });
+            let n = c.list_ids.len();
+            let mut codes = vec![0i8; n * f];
+            let mut inv_scales = Vec::with_capacity(n);
+            let mut l1 = Vec::with_capacity(n);
+            for (pos, &id) in c.list_ids.iter().enumerate() {
+                codes[pos * f..(pos + 1) * f].copy_from_slice(mirror.item_row(id as usize));
+                inv_scales.push(mirror.item_inv_scales()[id as usize]);
+                l1.push(mirror.item_l1()[id as usize]);
             }
+            c.items_i8 = Some(ClusterI8 {
+                codes,
+                inv_scales,
+                l1,
+            });
         }
         self.screening_i8 = true;
         self.build_seconds += t.elapsed().as_secs_f64();
     }
 
-    /// `true` once [`MaximusIndex::enable_screen`] has armed the screen.
-    pub fn is_screening(&self) -> bool {
-        self.screening
-    }
-
-    /// `true` once [`MaximusIndex::enable_screen_i8`] has armed the int8
-    /// screen (never on models whose quantization is degenerate).
+    /// `true` when the index was built with [`ScanTier::I8`] and armed the
+    /// int8 screen (never on models whose quantization is degenerate).
     pub fn is_screening_i8(&self) -> bool {
         self.screening_i8
     }
@@ -411,12 +361,12 @@ impl MaximusIndex {
         for (mut heap, &(pos, u)) in heaps.into_iter().zip(group) {
             let user = self.model.users().row(u);
             let unorm = norm2(user);
-            // Walk-phase screen state: the quantized/rounded user row plus
-            // the envelope coefficients (per-item envelope is
-            // `env_rel_u·‖i‖ + env_abs` for f32, `env_a·(1/s_i) + env_b·‖i‖₁`
-            // for int8). Absent unless a screen tier is armed; a user row
-            // whose quantization degenerates (non-finite scale or L1) walks
-            // unscreened — still exact, just unaccelerated.
+            // Walk-phase screen state: the quantized user row plus the
+            // envelope coefficients (per-item envelope is
+            // `env_a·(1/s_i) + env_b·‖i‖₁`). Absent unless the screen is
+            // armed; a user row whose quantization degenerates (non-finite
+            // scale or L1) walks unscreened — still exact, just
+            // unaccelerated.
             let screen: Option<UserScreen<'_>> = if self.screening_i8 {
                 cluster.items_i8.as_ref().and_then(|ci| {
                     let mut codes = vec![0i8; user.len()];
@@ -425,24 +375,13 @@ impl MaximusIndex {
                         return None;
                     }
                     let (env_a, env_b) = i8_screen_envelope_parts(user.len(), su, ul1);
-                    Some(UserScreen::I8 {
+                    Some(UserScreen {
                         ci,
                         codes,
                         inv_su: 1.0 / su,
                         env_a,
                         env_b,
                     })
-                })
-            } else if self.screening {
-                cluster.items32.as_ref().map(|m32| {
-                    let (rel, abs) = f32_screen_envelope_parts(user.len());
-                    let user32: Vec<f32> = user.iter().map(|&v| v as f32).collect();
-                    UserScreen::F32 {
-                        m32,
-                        user32,
-                        env_rel_u: rel * unorm,
-                        env_abs: abs,
-                    }
                 })
             } else {
                 None
@@ -458,49 +397,22 @@ impl MaximusIndex {
                 if heap.is_full() && unorm * cluster.bounds[list_pos] < heap.threshold() {
                     break;
                 }
-                // Mixed-precision screen: when even the envelope-widened
-                // screen score sits strictly below the threshold, the exact
-                // score does too and its push would be rejected — skipping
-                // dot and push leaves the heap trajectory bit-identical. A
-                // non-finite f32 screen score (overflow) never prunes; the
-                // int8 estimate is always finite by construction.
-                if heap.is_full() {
-                    match &screen {
-                        Some(UserScreen::F32 {
-                            m32,
-                            user32,
-                            env_rel_u,
-                            env_abs,
-                        }) => {
-                            let s32 = dot(user32.as_slice(), m32.row(list_pos)) as f64;
-                            let env = env_rel_u.mul_add(cluster.norms[list_pos], *env_abs);
-                            screen_evaluated += 1;
-                            if s32.is_finite() && s32 + env < heap.threshold() {
-                                screened_out += 1;
-                                list_pos += 1;
-                                continue;
-                            }
-                        }
-                        Some(UserScreen::I8 {
-                            ci,
-                            codes,
-                            inv_su,
-                            env_a,
-                            env_b,
-                        }) => {
-                            let f = codes.len();
-                            let d = dot_i8(codes, &ci.codes[list_pos * f..(list_pos + 1) * f]);
-                            let inv_si = ci.inv_scales[list_pos];
-                            let est = d as f64 * (inv_su * inv_si);
-                            let env = env_a * inv_si + env_b * ci.l1[list_pos];
-                            screen_evaluated += 1;
-                            if est + env < heap.threshold() {
-                                screened_out += 1;
-                                list_pos += 1;
-                                continue;
-                            }
-                        }
-                        None => {}
+                // Int8 screen: when even the envelope-widened estimate sits
+                // strictly below the threshold, the exact score does too and
+                // its push would be rejected — skipping dot and push leaves
+                // the heap trajectory bit-identical. The integer estimate is
+                // always finite by construction.
+                if let (true, Some(sc)) = (heap.is_full(), &screen) {
+                    let f = sc.codes.len();
+                    let d = dot_i8(&sc.codes, &sc.ci.codes[list_pos * f..(list_pos + 1) * f]);
+                    let inv_si = sc.ci.inv_scales[list_pos];
+                    let est = d as f64 * (sc.inv_su * inv_si);
+                    let env = sc.env_a * inv_si + sc.env_b * sc.ci.l1[list_pos];
+                    screen_evaluated += 1;
+                    if est + env < heap.threshold() {
+                        screened_out += 1;
+                        list_pos += 1;
+                        continue;
                     }
                 }
                 let score = dot(user, cluster.items.row(list_pos));
@@ -699,7 +611,6 @@ fn build_cluster_list(
         theta_ic,
         norms,
         items: gathered,
-        items32: None,
         items_i8: None,
         members,
     }
@@ -709,8 +620,6 @@ impl MipsSolver for MaximusIndex {
     fn name(&self) -> &str {
         if self.screening_i8 {
             "Maximus+i8"
-        } else if self.screening {
-            "Maximus+f32"
         } else {
             "Maximus"
         }
@@ -724,13 +633,11 @@ impl MipsSolver for MaximusIndex {
         true // the shared prefix GEMM batches cluster members
     }
 
-    fn precision(&self) -> crate::precision::Precision {
+    fn precision(&self) -> Precision {
         if self.screening_i8 {
-            crate::precision::Precision::I8Rescore
-        } else if self.screening {
-            crate::precision::Precision::F32Rescore
+            Precision::I8Rescore
         } else {
-            crate::precision::Precision::F64
+            Precision::F64
         }
     }
 
@@ -739,7 +646,7 @@ impl MipsSolver for MaximusIndex {
     }
 
     fn take_screen_stats(&self) -> Option<ScreenTally> {
-        (self.screening || self.screening_i8).then(|| self.screen_tally.drain())
+        self.screening_i8.then(|| self.screen_tally.drain())
     }
 
     fn query_range(&self, k: usize, users: Range<usize>) -> Vec<TopKList> {
@@ -790,6 +697,7 @@ mod tests {
     use super::*;
     use crate::bmm::BmmSolver;
     use mips_data::synth::{synth_model, SynthConfig};
+    use mips_data::ModelView;
 
     fn model(users: usize, items: usize, f: usize, spread: f64) -> Arc<MfModel> {
         Arc::new(synth_model(&SynthConfig {
@@ -816,15 +724,16 @@ mod tests {
     #[test]
     fn spherical_clustering_variant_is_exact_and_at_least_as_tight() {
         let m = model(60, 200, 10, 0.3);
-        let bmm = BmmSolver::build(Arc::clone(&m));
+        let bmm = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
         let want = bmm.query_all(5);
-        let euclid = MaximusIndex::build(Arc::clone(&m), &small_config());
+        let euclid = MaximusIndex::build(Arc::clone(&m), &small_config(), ScanTier::F64);
         let sphere = MaximusIndex::build(
             Arc::clone(&m),
             &MaximusConfig {
                 clustering: ClusteringAlgo::Spherical,
                 ..small_config()
             },
+            ScanTier::F64,
         );
         let got = sphere.query_all(5);
         for u in 0..m.num_users() {
@@ -844,8 +753,8 @@ mod tests {
     #[test]
     fn exact_against_bmm() {
         let m = model(50, 200, 12, 0.4);
-        let bmm = BmmSolver::build(Arc::clone(&m));
-        let maximus = MaximusIndex::build(Arc::clone(&m), &small_config());
+        let bmm = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
+        let maximus = MaximusIndex::build(Arc::clone(&m), &small_config(), ScanTier::F64);
         for k in [1usize, 5, 20] {
             let want = bmm.query_all(k);
             let got = maximus.query_all(k);
@@ -861,13 +770,14 @@ mod tests {
     #[test]
     fn exact_without_item_blocking() {
         let m = model(40, 150, 8, 0.3);
-        let bmm = BmmSolver::build(Arc::clone(&m));
+        let bmm = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
         let maximus = MaximusIndex::build(
             Arc::clone(&m),
             &MaximusConfig {
                 item_blocking: false,
                 ..small_config()
             },
+            ScanTier::F64,
         );
         let want = bmm.query_all(5);
         let got = maximus.query_all(5);
@@ -885,6 +795,7 @@ mod tests {
                 block_size: 8,
                 ..small_config()
             },
+            ScanTier::F64,
         );
         let _ = maximus.query_all(1);
         let stats = maximus.query_stats();
@@ -900,7 +811,7 @@ mod tests {
     }
 
     #[test]
-    fn screened_walk_is_bit_identical_and_prunes() {
+    fn screened_i8_walk_is_bit_identical_and_prunes() {
         // Small block size pushes most of the work into the walk phase,
         // where the screen operates.
         let m = model(60, 500, 16, 0.4);
@@ -908,49 +819,12 @@ mod tests {
             block_size: 8,
             ..small_config()
         };
-        let plain = MaximusIndex::build(Arc::clone(&m), &config);
-        let screened = MaximusIndex::build_screen(Arc::clone(&m), &config);
-        assert!(!plain.is_screening());
-        assert!(screened.is_screening());
-        assert_eq!(
-            screened.precision(),
-            crate::precision::Precision::F32Rescore
-        );
-        for k in [1usize, 5, 20] {
-            let want = plain.query_all(k);
-            let got = screened.query_all(k);
-            for u in 0..m.num_users() {
-                assert_eq!(got[u].items, want[u].items, "k={k} user {u}");
-                for (a, b) in got[u].scores.iter().zip(&want[u].scores) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "k={k} user {u}");
-                }
-            }
-        }
-        let stats = screened.query_stats();
-        assert!(
-            stats.items_screen_pruned.load(Ordering::Relaxed) > 0,
-            "screen never engaged on a walk-dominated configuration"
-        );
-        // Screened items reduce walked dots relative to the plain index.
-        assert!(
-            stats.items_walked.load(Ordering::Relaxed)
-                < plain.query_stats().items_walked.load(Ordering::Relaxed)
-        );
-    }
-
-    #[test]
-    fn screened_i8_walk_is_bit_identical_and_prunes() {
-        let m = model(60, 500, 16, 0.4);
-        let config = MaximusConfig {
-            block_size: 8,
-            ..small_config()
-        };
-        let plain = MaximusIndex::build(Arc::clone(&m), &config);
-        let screened = MaximusIndex::build_screen_i8(Arc::clone(&m), &config);
+        let plain = MaximusIndex::build(Arc::clone(&m), &config, ScanTier::F64);
+        let screened = MaximusIndex::build(Arc::clone(&m), &config, ScanTier::I8);
         assert!(!plain.is_screening_i8());
         assert!(screened.is_screening_i8());
         assert_eq!(screened.name(), "Maximus+i8");
-        assert_eq!(screened.precision(), crate::precision::Precision::I8Rescore);
+        assert_eq!(screened.precision(), Precision::I8Rescore);
         for k in [1usize, 5, 20] {
             let want = plain.query_all(k);
             let got = screened.query_all(k);
@@ -966,6 +840,7 @@ mod tests {
             stats.items_screen_pruned.load(Ordering::Relaxed) > 0,
             "i8 screen never engaged on a walk-dominated configuration"
         );
+        // Screened items reduce walked dots relative to the plain index.
         assert!(
             stats.items_walked.load(Ordering::Relaxed)
                 < plain.query_stats().items_walked.load(Ordering::Relaxed)
@@ -975,7 +850,7 @@ mod tests {
     #[test]
     fn subset_order_and_range_agree() {
         let m = model(30, 60, 6, 0.5);
-        let maximus = MaximusIndex::build(Arc::clone(&m), &small_config());
+        let maximus = MaximusIndex::build(Arc::clone(&m), &small_config(), ScanTier::F64);
         let range = maximus.query_range(4, 5..25);
         let subset = maximus.query_subset(4, &(5..25).collect::<Vec<_>>());
         assert_eq!(range, subset);
@@ -987,13 +862,14 @@ mod tests {
     #[test]
     fn block_larger_than_item_count_degenerates_to_bmm() {
         let m = model(20, 30, 5, 0.6);
-        let bmm = BmmSolver::build(Arc::clone(&m));
+        let bmm = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
         let maximus = MaximusIndex::build(
             Arc::clone(&m),
             &MaximusConfig {
                 block_size: 10_000,
                 ..small_config()
             },
+            ScanTier::F64,
         );
         let want = bmm.query_all(3);
         let got = maximus.query_all(3);
@@ -1010,8 +886,8 @@ mod tests {
     #[test]
     fn new_vector_queries_are_exact() {
         let m = model(40, 120, 8, 0.4);
-        let bmm = BmmSolver::build(Arc::clone(&m));
-        let maximus = MaximusIndex::build(Arc::clone(&m), &small_config());
+        let bmm = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
+        let maximus = MaximusIndex::build(Arc::clone(&m), &small_config(), ScanTier::F64);
         // Existing user vector served through the §III-E path.
         for u in [0usize, 17, 39] {
             let got = maximus.query_new_vector(m.users().row(u), 5);
@@ -1030,7 +906,7 @@ mod tests {
     #[test]
     fn build_stats_are_populated() {
         let m = model(30, 50, 6, 0.5);
-        let maximus = MaximusIndex::build(m, &small_config());
+        let maximus = MaximusIndex::build(m, &small_config(), ScanTier::F64);
         let stats = maximus.build_stats();
         assert!(stats.clustering_seconds >= 0.0);
         assert!(stats.construction_seconds > 0.0);
@@ -1041,7 +917,7 @@ mod tests {
     #[test]
     fn k_edge_cases() {
         let m = model(10, 15, 4, 0.5);
-        let maximus = MaximusIndex::build(m, &small_config());
+        let maximus = MaximusIndex::build(m, &small_config(), ScanTier::F64);
         assert!(maximus.query_all(0).iter().all(|l| l.is_empty()));
         assert!(maximus.query_all(100).iter().all(|l| l.len() == 15));
     }
@@ -1056,6 +932,7 @@ mod tests {
                 num_clusters: 0,
                 ..MaximusConfig::default()
             },
+            ScanTier::F64,
         );
     }
 }

@@ -52,27 +52,6 @@ impl AnalyticalBmmModel {
         }
     }
 
-    /// [`AnalyticalBmmModel::calibrate`] through the **single-precision**
-    /// micro-kernels: the same multiply, f32 operands. The ratio between
-    /// this rate and the f64 rate is the analytical prior for how much of
-    /// the mixed-precision path's scan phase the screen can save (the
-    /// rescore cost is data-dependent and left to online sampling, exactly
-    /// like the top-k stage above).
-    pub fn calibrate_f32() -> AnalyticalBmmModel {
-        const DIM: usize = 256;
-        let a = Matrix::<f32>::from_fn(DIM, DIM, |r, c| ((r * 31 + c * 7) % 13) as f32 * 0.1);
-        let b = Matrix::<f32>::from_fn(DIM, DIM, |r, c| ((r * 17 + c * 3) % 11) as f32 * 0.1);
-        let _ = gemm_nt(&a, &b);
-        let start = Instant::now();
-        let c = gemm_nt(&a, &b);
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-        let _guard = c.get(0, 0);
-        AnalyticalBmmModel {
-            flops_per_second: gemm_flops(DIM, DIM, DIM) / elapsed,
-            kernel: simd::active().name(),
-        }
-    }
-
     /// Builds a model from a known FLOP rate (for tests and datasheets).
     pub fn with_rate(flops_per_second: f64) -> AnalyticalBmmModel {
         assert!(

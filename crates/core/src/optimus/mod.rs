@@ -203,7 +203,7 @@ impl Optimus {
         let warm = &sample[..sample.len().min(4)];
 
         // Screen pairing: an engine in `Auto` precision competes each
-        // backend's `+f32` screen against its own f64 build, and the
+        // backend's `+i8` screen against its own f64 build, and the
         // adoption rule downstream compares exactly those two estimates.
         // The t-test early stop can halt the two sides at *different*
         // user counts, and on backends with heterogeneous per-user cost
@@ -214,18 +214,15 @@ impl Optimus {
         // sample so their comparison is apples-to-apples; unpaired
         // candidates keep the cheap early-stopped sampling.
         let names: Vec<&str> = solvers.iter().map(|s| s.name()).collect();
-        // Both screen tiers pair with the same f64 base; a base with two
-        // screen variants is paired once and shared by both.
-        fn strip_tier(name: &str) -> Option<&str> {
-            name.strip_suffix(crate::engine::SCREEN_SUFFIX)
-                .or_else(|| name.strip_suffix(crate::engine::SCREEN_I8_SUFFIX))
+        fn strip(name: &str) -> Option<&str> {
+            name.strip_suffix(crate::engine::SCREEN_I8_SUFFIX)
         }
         let screen_paired: Vec<bool> = names
             .iter()
             .map(|name| {
-                names.iter().any(|other| {
-                    strip_tier(other) == Some(name) || strip_tier(name) == Some(*other)
-                })
+                names
+                    .iter()
+                    .any(|other| strip(other) == Some(name) || strip(name) == Some(*other))
             })
             .collect();
 
@@ -339,7 +336,7 @@ impl Optimus {
         // Build all candidates (cheap relative to serving, Fig. 4).
         let build = |factory: &dyn SolverFactory| -> Box<dyn MipsSolver> {
             factory
-                .build_view(view)
+                .build(view)
                 .unwrap_or_else(|err| panic!("Optimus: building {}: {err}", factory.key()))
         };
         let bmm = build(&BmmFactory);
@@ -528,6 +525,7 @@ mod tests {
     use crate::bmm::BmmSolver;
     use crate::engine::registry::{FexiproFactory, LempFactory, MaximusFactory};
     use crate::maximus::MaximusConfig;
+    use crate::precision::ScanTier;
     use mips_data::synth::{synth_model, SynthConfig};
     use mips_lemp::LempConfig;
 
@@ -571,7 +569,7 @@ mod tests {
                 ..MaximusConfig::default()
             }))],
         );
-        let want = BmmSolver::build(Arc::clone(&m)).query_all(5);
+        let want = BmmSolver::build(&ModelView::full(&m), ScanTier::F64).query_all(5);
         assert_eq!(outcome.results.len(), want.len());
         for (u, (got, expect)) in outcome.results.iter().zip(&want).enumerate() {
             assert_eq!(got.items, expect.items, "user {u}");
@@ -598,7 +596,7 @@ mod tests {
             ],
         );
         assert_eq!(outcome.estimates.len(), 3);
-        let want = BmmSolver::build(Arc::clone(&m)).query_all(3);
+        let want = BmmSolver::build(&ModelView::full(&m), ScanTier::F64).query_all(3);
         for u in (0..m.num_users()).step_by(37) {
             assert_eq!(outcome.results[u].items, want[u].items);
         }
@@ -644,7 +642,7 @@ mod tests {
 
     #[test]
     fn screen_paired_candidates_are_timed_on_the_full_sample() {
-        // A `+f32` screen and its f64 base are compared head-to-head by
+        // A `+i8` screen and its f64 base are compared head-to-head by
         // the adoption rule, so `choose` must not let the t-test stop
         // the two at different user counts (different user mixes bias
         // the pair's comparison on norm-heterogeneous backends). Both
@@ -653,10 +651,17 @@ mod tests {
         // bounded here — whether it stops early is model-dependent).
         let m = model();
         let optimus = Optimus::new(tiny_config());
-        let bmm = BmmSolver::build(Arc::clone(&m));
-        let lemp = crate::adapters::LempSolver::build(Arc::clone(&m), &LempConfig::default());
-        let lemp_screen =
-            crate::adapters::LempSolver::build_screen(Arc::clone(&m), &LempConfig::default());
+        let bmm = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
+        let lemp = crate::adapters::LempSolver::build(
+            Arc::clone(&m),
+            &LempConfig::default(),
+            ScanTier::F64,
+        );
+        let lemp_screen = crate::adapters::LempSolver::build(
+            Arc::clone(&m),
+            &LempConfig::default(),
+            ScanTier::I8,
+        );
         let fex = crate::adapters::FexiproSolver::build(
             Arc::clone(&m),
             &mips_fexipro::FexiproConfig::si(),
@@ -664,7 +669,7 @@ mod tests {
         let view = ModelView::full(&m);
         let choice = optimus.choose(&view, 3, &[&bmm, &lemp, &lemp_screen, &fex]);
         for e in &choice.estimates {
-            if e.name == "LEMP" || e.name == "LEMP+f32" {
+            if e.name == "LEMP" || e.name == "LEMP+i8" {
                 assert_eq!(
                     e.sampled_users, choice.sample_size,
                     "{} must be timed on the whole sample",

@@ -7,7 +7,7 @@
 
 use crate::engine::registry::SolverFactory;
 use crate::sync::Arc;
-use mips_data::MfModel;
+use mips_data::{MfModel, ModelView};
 use std::time::Instant;
 
 /// Full measured runtime of one strategy.
@@ -41,7 +41,7 @@ pub fn oracle_choice(
         .iter()
         .map(|f| {
             let solver = f
-                .build(model)
+                .build(&ModelView::full(model))
                 .unwrap_or_else(|err| panic!("oracle_choice: building {}: {err}", f.key()));
             let t0 = Instant::now();
             let results = solver.query_all(k);

@@ -41,7 +41,7 @@ pub fn chunk_bounds(n: usize, parts: usize) -> Vec<Range<usize>> {
 /// Serves a contiguous user range with `threads` worker threads,
 /// partitioning the range evenly. `threads = 1` degenerates to a plain
 /// sequential call. This is the multi-core path the engine routes through
-/// when [`crate::engine::EngineConfig::threads`] exceeds one.
+/// when [`crate::engine::EngineOptions::threads`] exceeds one.
 ///
 /// # Panics
 /// Panics if `threads == 0` (the engine validates this at build time and
@@ -108,7 +108,7 @@ pub fn par_query_subset(
 /// Serves all users with `threads` worker threads.
 ///
 /// Compatibility wrapper over [`par_query_range`]; new code should set
-/// [`crate::engine::EngineConfig::threads`] and go through the engine,
+/// [`crate::engine::EngineOptions::threads`] and go through the engine,
 /// which returns typed errors instead of panicking. With one thread this
 /// takes the solver's specialized `query_all` path (MAXIMUS serves whole
 /// clusters in membership order there).
@@ -128,8 +128,10 @@ mod tests {
     use super::*;
     use crate::bmm::BmmSolver;
     use crate::maximus::{MaximusConfig, MaximusIndex};
+    use crate::precision::ScanTier;
     use crate::sync::Arc;
     use mips_data::synth::{synth_model, SynthConfig};
+    use mips_data::ModelView;
 
     fn model(users: usize) -> Arc<mips_data::MfModel> {
         Arc::new(synth_model(&SynthConfig {
@@ -143,7 +145,7 @@ mod tests {
     #[test]
     fn parallel_equals_sequential_for_bmm() {
         let m = model(101); // odd size: uneven final chunk
-        let solver = BmmSolver::build(m);
+        let solver = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
         let seq = solver.query_all(4);
         for threads in [1usize, 2, 3, 8, 200] {
             let par = par_query_all(&solver, 4, threads);
@@ -161,6 +163,7 @@ mod tests {
                 block_size: 8,
                 ..MaximusConfig::default()
             },
+            ScanTier::F64,
         );
         let seq = solver.query_all(5);
         let par = par_query_all(&solver, 5, 4);
@@ -170,7 +173,7 @@ mod tests {
     #[test]
     fn offset_ranges_and_subsets_match_sequential() {
         let m = model(83);
-        let solver = BmmSolver::build(m);
+        let solver = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
         let seq_range = solver.query_range(3, 17..64);
         for threads in [2usize, 5, 100] {
             assert_eq!(par_query_range(&solver, 3, 17..64, threads), seq_range);
@@ -222,7 +225,7 @@ mod tests {
 
         let m = model(20);
         let solver = CountingSolver {
-            inner: BmmSolver::build(Arc::clone(&m)),
+            inner: BmmSolver::build(&ModelView::full(&m), ScanTier::F64),
             counts: Mutex::new(HashMap::new()),
         };
         // User 7 repeats across what would be several chunks at 4 threads.
@@ -240,7 +243,7 @@ mod tests {
     #[should_panic(expected = "threads must be > 0")]
     fn rejects_zero_threads() {
         let m = model(4);
-        let solver = BmmSolver::build(m);
+        let solver = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
         let _ = par_query_all(&solver, 1, 0);
     }
 }

@@ -306,15 +306,9 @@ pub struct ShardCounters {
     pub(crate) completed: AtomicU64,
     /// Solver invocations (a micro-batch counts once).
     pub(crate) batches: AtomicU64,
-    /// Solver invocations served through a mixed-precision f32-screen
-    /// plan — `batches - f32_batches - i8_batches` ran f64-direct.
-    pub(crate) f32_batches: AtomicU64,
-    /// Solver invocations served through an int8-screen plan.
+    /// Solver invocations served through an int8-screen plan —
+    /// `batches - i8_batches` ran f64-direct.
     pub(crate) i8_batches: AtomicU64,
-    /// Scores the f32 screen evaluated across this shard's batches.
-    pub(crate) screen_candidates_f32: AtomicU64,
-    /// Of those, candidates surviving to the exact f64 rescore.
-    pub(crate) screen_survivors_f32: AtomicU64,
     /// Scores the int8 screen evaluated across this shard's batches.
     pub(crate) screen_candidates_i8: AtomicU64,
     /// Of those, candidates surviving to the exact f64 rescore.
@@ -355,10 +349,7 @@ impl ShardCounters {
             submitted: self.submitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
-            f32_batches: self.f32_batches.load(Ordering::Relaxed),
             i8_batches: self.i8_batches.load(Ordering::Relaxed),
-            screen_candidates_f32: self.screen_candidates_f32.load(Ordering::Relaxed),
-            screen_survivors_f32: self.screen_survivors_f32.load(Ordering::Relaxed),
             screen_candidates_i8: self.screen_candidates_i8.load(Ordering::Relaxed),
             screen_survivors_i8: self.screen_survivors_i8.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
@@ -387,25 +378,19 @@ pub struct ShardMetrics {
     pub completed: u64,
     /// Solver invocations (one per micro-batch).
     pub batches: u64,
-    /// Of those, how many ran through a mixed-precision plan with an f32
-    /// screen + exact f64 rescore. Results are bit-identical either way;
-    /// under [`crate::precision::Precision::Auto`] this and `i8_batches`
-    /// show the per-shard planner decisions in effect.
-    pub f32_batches: u64,
-    /// How many batches ran through an int8 screen + exact f64 rescore
-    /// plan (`batches - f32_batches - i8_batches` ran f64-direct).
+    /// Of those, how many ran through an int8 screen + exact f64 rescore
+    /// plan (`batches - i8_batches` ran f64-direct). Results are
+    /// bit-identical either way; under
+    /// [`crate::precision::Precision::Auto`] this shows the per-shard
+    /// planner decisions in effect.
     pub i8_batches: u64,
-    /// Scores the f32 screen evaluated (candidates it could have pruned)
+    /// Scores the int8 screen evaluated (candidates it could have pruned)
     /// across this shard's batches.
-    pub screen_candidates_f32: u64,
-    /// f32-screen candidates that survived the envelope test and were
+    pub screen_candidates_i8: u64,
+    /// int8-screen candidates that survived the envelope test and were
     /// rescored with an exact f64 dot; `candidates - survivors` exact dots
     /// were proven unnecessary. The survivor rate is the screen's
     /// selectivity in production traffic.
-    pub screen_survivors_f32: u64,
-    /// Scores the int8 screen evaluated across this shard's batches.
-    pub screen_candidates_i8: u64,
-    /// int8-screen candidates that survived to the exact f64 rescore.
     pub screen_survivors_i8: u64,
     /// Sub-requests that were coalesced into a shared batch.
     pub coalesced: u64,
@@ -438,10 +423,7 @@ impl ShardMetrics {
         w.field_u64("submitted", self.submitted);
         w.field_u64("completed", self.completed);
         w.field_u64("batches", self.batches);
-        w.field_u64("f32_batches", self.f32_batches);
         w.field_u64("i8_batches", self.i8_batches);
-        w.field_u64("screen_candidates_f32", self.screen_candidates_f32);
-        w.field_u64("screen_survivors_f32", self.screen_survivors_f32);
         w.field_u64("screen_candidates_i8", self.screen_candidates_i8);
         w.field_u64("screen_survivors_i8", self.screen_survivors_i8);
         w.field_u64("coalesced", self.coalesced);
@@ -486,7 +468,7 @@ pub struct ServerMetrics {
     pub index_scope: IndexScope,
     /// The engine's configured numeric mode
     /// ([`crate::precision::Precision`]). Per-plan decisions under `Auto`
-    /// surface as each shard's `f32_batches` / `i8_batches` shares.
+    /// surface as each shard's `i8_batches` share.
     pub precision: crate::precision::Precision,
     /// Model swaps the runtime has picked up (topology rebuilds — the
     /// count of `swap_model` calls whose new epoch reached the server).
@@ -505,21 +487,15 @@ impl ServerMetrics {
         self.shards.iter().map(|s| s.batches).sum()
     }
 
-    /// Total micro-batches served through f32-screen plans.
-    pub fn f32_batches(&self) -> u64 {
-        self.shards.iter().map(|s| s.f32_batches).sum()
-    }
-
     /// Total micro-batches served through int8-screen plans.
     pub fn i8_batches(&self) -> u64 {
         self.shards.iter().map(|s| s.i8_batches).sum()
     }
 
-    /// Total f32-screen (candidates, survivors) across shards.
+    /// Always `(0, 0)`: the f32 screen tier is gone. Kept only because
+    /// the `perfbench` benchmark still reads it.
     pub fn screen_f32(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(c, s), m| {
-            (c + m.screen_candidates_f32, s + m.screen_survivors_f32)
-        })
+        (0, 0)
     }
 
     /// Total int8-screen (candidates, survivors) across shards.
@@ -568,11 +544,7 @@ impl ServerMetrics {
         w.field_str("precision", self.precision.as_str());
         w.field_u64("swaps", self.swaps);
         w.field_u64("batches", self.batches());
-        w.field_u64("f32_batches", self.f32_batches());
         w.field_u64("i8_batches", self.i8_batches());
-        let (cand_f32, surv_f32) = self.screen_f32();
-        w.field_u64("screen_candidates_f32", cand_f32);
-        w.field_u64("screen_survivors_f32", surv_f32);
         let (cand_i8, surv_i8) = self.screen_i8();
         w.field_u64("screen_candidates_i8", cand_i8);
         w.field_u64("screen_survivors_i8", surv_i8);
@@ -750,10 +722,7 @@ mod tests {
             "\"epoch\":2",
             "\"index_scope\":\"per-shard\"",
             "\"precision\":\"auto\"",
-            "\"f32_batches\":0",
             "\"i8_batches\":2",
-            "\"screen_candidates_f32\":0",
-            "\"screen_survivors_f32\":0",
             "\"screen_candidates_i8\":120",
             "\"screen_survivors_i8\":7",
             "\"shards\":[{\"shard\":0,\"users\":[0,25]",

@@ -168,10 +168,6 @@ impl ServeOptions {
     }
 }
 
-/// Former name of [`ServeOptions`].
-#[deprecated(note = "renamed to ServeOptions")]
-pub type ServerConfig = ServeOptions;
-
 /// Step-by-step assembly of a [`MipsServer`].
 #[derive(Default)]
 pub struct ServerBuilder {
@@ -251,12 +247,6 @@ impl ServerBuilder {
     pub fn options(mut self, options: ServeOptions) -> ServerBuilder {
         self.config = options;
         self
-    }
-
-    /// Former name of [`ServerBuilder::options`].
-    #[deprecated(note = "renamed to ServerBuilder::options")]
-    pub fn config(self, config: ServeOptions) -> ServerBuilder {
-        self.options(config)
     }
 
     /// Validates the assembly, spawns the worker pool, and returns the
@@ -474,12 +464,6 @@ impl MipsServer {
 
     /// The effective serving options (after `0 = auto` resolution).
     pub fn options(&self) -> &ServeOptions {
-        &self.shared.config
-    }
-
-    /// Former name of [`MipsServer::options`].
-    #[deprecated(note = "renamed to MipsServer::options")]
-    pub fn config(&self) -> &ServeOptions {
         &self.shared.config
     }
 

@@ -1,26 +1,13 @@
-//! The common solver interface and the legacy strategy enum.
-//!
-//! [`Strategy`] predates the [`crate::engine`] facade and is kept as a thin
-//! **deprecated** compatibility shim: each variant maps to a registry key,
-//! and its construction methods are deprecated in favor of registering
-//! backends with [`crate::engine::BackendRegistry`] (or passing
-//! [`SolverFactory`] values directly to OPTIMUS and the oracle).
+//! The common solver interface every backend implements.
 
-use crate::engine::registry::{
-    BmmFactory, FexiproFactory, LempFactory, MaximusFactory, SolverFactory,
-};
-use crate::maximus::MaximusConfig;
 use crate::precision::Precision;
-use crate::sync::Arc;
-use mips_data::MfModel;
-use mips_lemp::LempConfig;
 use mips_topk::TopKList;
 use std::collections::HashMap;
 use std::ops::Range;
 
 /// A built, queryable exact MIPS solver.
 ///
-/// Implementations hold their model in an [`Arc`] and are immutable after
+/// Implementations hold their model in an `Arc` and are immutable after
 /// construction, so they can be queried concurrently (the multi-core
 /// experiments of Fig. 6 partition users across threads).
 pub trait MipsSolver: Send + Sync {
@@ -51,8 +38,8 @@ pub trait MipsSolver: Send + Sync {
         self.query_range(k, 0..self.num_users())
     }
 
-    /// The numeric path this solver serves through: [`Precision::F32Rescore`]
-    /// when scans screen in f32 before the exact f64 rescore, otherwise
+    /// The numeric path this solver serves through: [`Precision::I8Rescore`]
+    /// when scans screen in int8 before the exact f64 rescore, otherwise
     /// [`Precision::F64`]. Results are bit-identical either way; the engine
     /// records the effective value on prepared plans and responses.
     fn precision(&self) -> Precision {
@@ -86,8 +73,7 @@ pub trait MipsSolver: Send + Sync {
     }
 }
 
-/// One drain's worth of mixed-precision screen work (f32 or int8 tier —
-/// the solver's [`MipsSolver::precision`] says which).
+/// One drain's worth of int8 screen work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScreenTally {
     /// Scores the screen evaluated (candidates it could have pruned).
@@ -164,98 +150,9 @@ pub fn dedup_query_subset(
         .collect()
 }
 
-/// A buildable serving strategy: the legacy unit OPTIMUS chose between.
-///
-/// Deprecated as a construction path: the optimizer, oracle, and benchmark
-/// harness now take [`SolverFactory`] values (the engine's
-/// [`crate::engine::BackendRegistry`] namespace). `Strategy` remains as a
-/// thin alias — [`Strategy::key`] and [`Strategy::factory`] bridge old
-/// call sites onto the registry.
-#[derive(Debug, Clone)]
-pub enum Strategy {
-    /// Brute-force blocked matrix multiply.
-    Bmm,
-    /// The MAXIMUS index with the given parameters.
-    Maximus(MaximusConfig),
-    /// The LEMP baseline with the given parameters.
-    Lemp(LempConfig),
-    /// FEXIPRO with SVD + integer pruning.
-    FexiproSi,
-    /// FEXIPRO with all pruning stages.
-    FexiproSir,
-}
-
-impl Strategy {
-    /// The display name the built solver will report.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Strategy::Bmm => "Blocked MM",
-            Strategy::Maximus(_) => "Maximus",
-            Strategy::Lemp(_) => "LEMP",
-            Strategy::FexiproSi => "FEXIPRO-SI",
-            Strategy::FexiproSir => "FEXIPRO-SIR",
-        }
-    }
-
-    /// The registry key this strategy maps to (the engine's backend
-    /// namespace: `"bmm"`, `"maximus"`, `"lemp"`, `"fexipro-si"`,
-    /// `"fexipro-sir"`).
-    pub fn key(&self) -> &'static str {
-        match self {
-            Strategy::Bmm => "bmm",
-            Strategy::Maximus(_) => "maximus",
-            Strategy::Lemp(_) => "lemp",
-            Strategy::FexiproSi => "fexipro-si",
-            Strategy::FexiproSir => "fexipro-sir",
-        }
-    }
-
-    /// The engine factory equivalent to this strategy, carrying its
-    /// configuration.
-    pub fn factory(&self) -> Arc<dyn SolverFactory> {
-        match self {
-            Strategy::Bmm => Arc::new(BmmFactory),
-            Strategy::Maximus(cfg) => Arc::new(MaximusFactory::new(*cfg)),
-            Strategy::Lemp(cfg) => Arc::new(LempFactory::new(*cfg)),
-            Strategy::FexiproSi => Arc::new(FexiproFactory::si()),
-            Strategy::FexiproSir => Arc::new(FexiproFactory::sir()),
-        }
-    }
-
-    /// Builds the solver through the registry factory (index construction
-    /// happens here and is timed by the implementations).
-    ///
-    /// Compatibility path: panics if construction fails. Register the
-    /// backend with a [`crate::engine::BackendRegistry`] (or call
-    /// [`SolverFactory::build`] via [`Strategy::factory`]) for typed errors.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build through the engine's BackendRegistry / SolverFactory instead"
-    )]
-    pub fn build(&self, model: &Arc<MfModel>) -> Box<dyn MipsSolver> {
-        self.factory()
-            .build(model)
-            .unwrap_or_else(|err| panic!("Strategy::build({}): {err}", self.name()))
-    }
-
-    /// `build` over a contiguous user-range view of a model (shard-local
-    /// index construction). The produced solver addresses users by local
-    /// row (`0..view.num_users()`).
-    #[deprecated(
-        since = "0.1.0",
-        note = "build through the engine's BackendRegistry / SolverFactory instead"
-    )]
-    pub fn build_over(&self, view: &mips_data::ModelView) -> Box<dyn MipsSolver> {
-        self.factory()
-            .build_view(view)
-            .unwrap_or_else(|err| panic!("Strategy::build_over({}): {err}", self.name()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mips_data::synth::{synth_model, SynthConfig};
 
     #[test]
     fn dedup_subset_queries_each_distinct_user_once() {
@@ -288,70 +185,5 @@ mod tests {
             distinct.iter().map(|_| TopKList::empty()).collect()
         });
         assert_eq!(out.len(), 3);
-    }
-
-    #[test]
-    fn strategy_keys_match_registry_defaults() {
-        use crate::engine::BackendRegistry;
-        let registry = BackendRegistry::with_defaults();
-        for strategy in [
-            Strategy::Bmm,
-            Strategy::Maximus(MaximusConfig::default()),
-            Strategy::Lemp(LempConfig::default()),
-            Strategy::FexiproSi,
-            Strategy::FexiproSir,
-        ] {
-            assert!(
-                registry.get(strategy.key()).is_some(),
-                "{} should resolve in the default registry",
-                strategy.key()
-            );
-            assert_eq!(strategy.factory().key(), strategy.key());
-        }
-    }
-
-    #[test]
-    fn strategy_names_are_stable() {
-        assert_eq!(Strategy::Bmm.name(), "Blocked MM");
-        assert_eq!(
-            Strategy::Maximus(MaximusConfig::default()).name(),
-            "Maximus"
-        );
-        assert_eq!(Strategy::Lemp(LempConfig::default()).name(), "LEMP");
-        assert_eq!(Strategy::FexiproSi.name(), "FEXIPRO-SI");
-        assert_eq!(Strategy::FexiproSir.name(), "FEXIPRO-SIR");
-    }
-
-    #[test]
-    #[allow(deprecated)] // the compat path stays covered until it is removed
-    fn every_strategy_builds_and_answers() {
-        let model = Arc::new(synth_model(&SynthConfig {
-            num_users: 25,
-            num_items: 40,
-            num_factors: 8,
-            ..SynthConfig::default()
-        }));
-        for strategy in [
-            Strategy::Bmm,
-            Strategy::Maximus(MaximusConfig::default()),
-            Strategy::Lemp(LempConfig::default()),
-            Strategy::FexiproSi,
-            Strategy::FexiproSir,
-        ] {
-            let solver = strategy.build(&model);
-            assert_eq!(solver.name(), strategy.name());
-            assert_eq!(solver.num_users(), 25);
-            let all = solver.query_all(3);
-            assert_eq!(all.len(), 25);
-            for list in &all {
-                assert_eq!(list.len(), 3);
-                assert!(list.is_sorted());
-            }
-            // Subset order must follow the input, not user order.
-            let subset = solver.query_subset(2, &[7, 2, 7]);
-            assert_eq!(subset.len(), 3);
-            assert_eq!(subset[0], subset[2]);
-            assert_eq!(subset[1], solver.query_range(2, 2..3)[0]);
-        }
     }
 }

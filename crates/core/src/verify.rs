@@ -94,9 +94,11 @@ pub fn check_all_topk(
 mod tests {
     use super::*;
     use crate::bmm::BmmSolver;
+    use crate::precision::ScanTier;
     use crate::solver::MipsSolver;
     use crate::sync::Arc;
     use mips_data::synth::{synth_model, SynthConfig};
+    use mips_data::ModelView;
 
     fn model() -> Arc<MfModel> {
         Arc::new(synth_model(&SynthConfig {
@@ -110,7 +112,7 @@ mod tests {
     #[test]
     fn accepts_correct_results() {
         let m = model();
-        let solver = BmmSolver::build(Arc::clone(&m));
+        let solver = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
         let results = solver.query_all(5);
         check_all_topk(&m, 5, &results, 1e-9).unwrap();
     }
@@ -118,7 +120,7 @@ mod tests {
     #[test]
     fn rejects_wrong_length() {
         let m = model();
-        let solver = BmmSolver::build(Arc::clone(&m));
+        let solver = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
         let mut results = solver.query_all(5);
         results[3].items.pop();
         results[3].scores.pop();
@@ -130,7 +132,7 @@ mod tests {
     #[test]
     fn rejects_fabricated_scores() {
         let m = model();
-        let solver = BmmSolver::build(Arc::clone(&m));
+        let solver = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
         let mut results = solver.query_all(2);
         results[0].scores[0] += 1.0;
         let err = check_all_topk(&m, 2, &results, 1e-9).unwrap_err();
@@ -140,7 +142,7 @@ mod tests {
     #[test]
     fn rejects_suboptimal_items() {
         let m = model();
-        let solver = BmmSolver::build(Arc::clone(&m));
+        let solver = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
         let mut results = solver.query_all(1);
         // Replace user 0's best item with whatever its true worst item is.
         let urow = m.users().row(0);
@@ -158,7 +160,7 @@ mod tests {
     #[test]
     fn rejects_duplicates_and_bad_ids() {
         let m = model();
-        let solver = BmmSolver::build(Arc::clone(&m));
+        let solver = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
         let mut results = solver.query_all(3);
         results[1].items[2] = results[1].items[0];
         results[1].scores[2] = results[1].scores[0];
@@ -174,7 +176,7 @@ mod tests {
     #[test]
     fn rejects_wrong_result_count() {
         let m = model();
-        let solver = BmmSolver::build(Arc::clone(&m));
+        let solver = BmmSolver::build(&ModelView::full(&m), ScanTier::F64);
         let results = solver.query_all(2);
         let err = check_all_topk(&m, 2, &results[..5], 1e-9).unwrap_err();
         assert!(err.contains("result lists"));

@@ -3,7 +3,8 @@
 use mips_core::bmm::BmmSolver;
 use mips_core::maximus::{ClusteringAlgo, MaximusConfig, MaximusIndex};
 use mips_core::solver::MipsSolver;
-use mips_data::MfModel;
+use mips_core::ScanTier;
+use mips_data::{MfModel, ModelView};
 use mips_linalg::Matrix;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -38,13 +39,13 @@ proptest! {
             block_size: 1,
             item_blocking: false,
             ..MaximusConfig::default()
-        }).query_all(k);
+        }, ScanTier::F64).query_all(k);
         let blocked = MaximusIndex::build(Arc::clone(&model), &MaximusConfig {
             num_clusters: 3,
             block_size: block,
             item_blocking: true,
             ..MaximusConfig::default()
-        }).query_all(k);
+        }, ScanTier::F64).query_all(k);
         // Item sets must match exactly; scores may differ by accumulation
         // order (GEMM for the blocked prefix vs a dot product in the walk).
         for (r, b) in reference.iter().zip(&blocked) {
@@ -64,14 +65,14 @@ proptest! {
         let index = MaximusIndex::build(Arc::clone(&model), &MaximusConfig {
             num_clusters: clusters,
             ..MaximusConfig::default()
-        });
+        }, ScanTier::F64);
         // Indirect check: a walk that starts pruning can never re-admit —
         // equivalently, results equal brute force (exactness) AND the
         // reported θ_b values are within [0, π].
         for theta in index.cluster_thetas() {
             prop_assert!((0.0..=std::f64::consts::PI + 1e-6).contains(&theta));
         }
-        let want = BmmSolver::build(Arc::clone(&model)).query_all(3);
+        let want = BmmSolver::build(&ModelView::full(&model), ScanTier::F64).query_all(3);
         prop_assert_eq!(index.query_all(3), want);
     }
 
@@ -87,7 +88,7 @@ proptest! {
             num_clusters: 2,
             block_size: 4,
             ..MaximusConfig::default()
-        });
+        }, ScanTier::F64);
         let mut state = seed | 7;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -101,7 +102,7 @@ proptest! {
             Matrix::from_vec(1, f, novel).unwrap(),
             model.items().clone(),
         ).unwrap());
-        let want = BmmSolver::build(probe).query_all(k);
+        let want = BmmSolver::build(&ModelView::full(&probe), ScanTier::F64).query_all(k);
         prop_assert_eq!(got.items, want[0].items.clone());
     }
 
@@ -112,13 +113,13 @@ proptest! {
                                            f in 1usize..6,
                                            seed in 0u64..200) {
         let model = random_model(n_users, n_items, f, seed);
-        let want = BmmSolver::build(Arc::clone(&model)).query_all(4);
+        let want = BmmSolver::build(&ModelView::full(&model), ScanTier::F64).query_all(4);
         for algo in [ClusteringAlgo::KMeans, ClusteringAlgo::Spherical] {
             let index = MaximusIndex::build(Arc::clone(&model), &MaximusConfig {
                 num_clusters: 3,
                 clustering: algo,
                 ..MaximusConfig::default()
-            });
+            }, ScanTier::F64);
             prop_assert_eq!(index.query_all(4), want.clone(), "algo {:?}", algo);
         }
     }

@@ -100,6 +100,40 @@ proptest! {
         }
     }
 
+    /// Planned dispatch under `Auto`: whichever candidate OPTIMUS picks —
+    /// f64-direct or a `+i8` screen variant — the served bits match the
+    /// **same backend's** pure-f64 path. (Different backends legitimately
+    /// accumulate dots in different orders and may disagree in the last
+    /// ulp, so the contract is per-backend, not cross-backend: `Auto` must
+    /// never let the numeric *mode* change the bits the chosen backend
+    /// would have served.)
+    #[test]
+    fn auto_planning_is_bit_identical_whatever_wins(
+        n_users in 2usize..12,
+        n_items in 2usize..40,
+        f in 1usize..7,
+        k in 1usize..6,
+        seed in 0u64..200,
+    ) {
+        let model = random_model(n_users, n_items, f, seed);
+        let request = QueryRequest::top_k(k.min(n_items));
+        let f64_engine = engine_at(&model, Precision::F64);
+        let got = engine_at(&model, Precision::Auto).execute(&request).unwrap();
+        // Map the winner's display name ("LEMP+i8" → "LEMP") back to its
+        // registry key to pin the f64 reference to the same backend.
+        let base_name = got.backend.strip_suffix("+i8").unwrap_or(&got.backend);
+        let key = f64_engine
+            .backend_keys()
+            .into_iter()
+            .find(|key| f64_engine.solver(key).is_ok_and(|s| s.name() == base_name))
+            .expect("auto winner maps to a registered backend");
+        let want = f64_engine.execute_with(key, &request).unwrap();
+        prop_assert_eq!(
+            bits(&got), bits(&want),
+            "auto winner {} diverged from its own f64 path", &got.backend
+        );
+    }
+
     /// Per-shard serving: each shard quantizes against its own view's int8
     /// mirror; reassembled responses still match the global f64 engine
     /// bit for bit, for every backend registered alone.
@@ -280,10 +314,9 @@ fn adversarial_corpora_cannot_shake_bit_identity() {
 }
 
 /// Serving under forced i8 surfaces the screen's work in the shard
-/// counters: batches tally as `i8_batches`, candidate/survivor counts
-/// accumulate in the int8 lanes, and the f32 lanes stay untouched (and
-/// vice versa under forced f32). This is the per-precision-mode screen
-/// observability `/metrics` exposes.
+/// counters: batches tally as `i8_batches` and candidate/survivor counts
+/// accumulate in the int8 lanes, while an f64 engine leaves them
+/// untouched. This is the screen observability `/metrics` exposes.
 #[test]
 fn serve_metrics_report_screen_candidates_and_survivors_per_mode() {
     let model = random_model(40, 300, 8, 7);
@@ -293,7 +326,7 @@ fn serve_metrics_report_screen_candidates_and_survivors_per_mode() {
         .iter()
         .find(|f| f.key() == "bmm")
         .expect("bmm is a default backend");
-    for (precision, expect_i8) in [(Precision::I8Rescore, true), (Precision::F32Rescore, false)] {
+    for precision in [Precision::I8Rescore, Precision::F64] {
         let engine = Arc::new(
             EngineBuilder::new()
                 .model(Arc::clone(&model))
@@ -315,37 +348,22 @@ fn serve_metrics_report_screen_candidates_and_survivors_per_mode() {
         let metrics = server.metrics();
         server.shutdown().unwrap();
         assert!(metrics.completed > 0);
-        let ((active_batches, idle_batches), (active, idle)) = if expect_i8 {
-            (
-                (metrics.i8_batches(), metrics.f32_batches()),
-                (metrics.screen_i8(), metrics.screen_f32()),
-            )
-        } else {
-            (
-                (metrics.f32_batches(), metrics.i8_batches()),
-                (metrics.screen_f32(), metrics.screen_i8()),
-            )
-        };
-        assert!(active_batches > 0, "{precision:?}: no screened batches");
-        assert_eq!(idle_batches, 0, "{precision:?}: wrong-mode batches");
-        let (candidates, survivors) = active;
+        let (candidates, survivors) = metrics.screen_i8();
+        if precision == Precision::F64 {
+            assert_eq!(metrics.i8_batches(), 0, "f64 engine ran screened batches");
+            assert_eq!((candidates, survivors), (0, 0), "f64 engine screened");
+            continue;
+        }
+        assert!(metrics.i8_batches() > 0, "no screened batches");
         // BMM screens every (user, item) score of every batch.
-        assert!(candidates > 0, "{precision:?}: screen evaluated nothing");
-        assert!(
-            survivors <= candidates,
-            "{precision:?}: survivors exceed candidates"
-        );
-        assert_eq!(idle, (0, 0), "{precision:?}: wrong-mode screen counts");
+        assert!(candidates > 0, "screen evaluated nothing");
+        assert!(survivors <= candidates, "survivors exceed candidates");
         // Per-shard counters carry the same lanes as the rollup.
         assert_eq!(
             metrics
                 .shards
                 .iter()
-                .map(|s| if expect_i8 {
-                    s.screen_candidates_i8
-                } else {
-                    s.screen_candidates_f32
-                })
+                .map(|s| s.screen_candidates_i8)
                 .sum::<u64>(),
             candidates
         );

@@ -19,6 +19,7 @@ use mips_core::maximus::MaximusConfig;
 use mips_core::optimus::OptimusConfig;
 use mips_core::serve::ServerBuilder;
 use mips_core::solver::MipsSolver;
+use mips_core::ScanTier;
 use mips_data::synth::{synth_model, SynthConfig};
 use mips_data::{MfModel, ModelView};
 use mips_linalg::CacheConfig;
@@ -405,18 +406,12 @@ fn concurrent_first_touch_builds_do_not_convoy() {
         fn key(&self) -> &str {
             "slow"
         }
-        fn build(&self, model: &Arc<MfModel>) -> Result<Box<dyn MipsSolver>, mips_core::MipsError> {
+        fn build(&self, view: &ModelView) -> Result<Box<dyn MipsSolver>, mips_core::MipsError> {
             std::thread::sleep(BUILD);
-            Ok(Box::new(Slow(mips_core::BmmSolver::build(Arc::clone(
-                model,
-            )))))
-        }
-        fn build_view(
-            &self,
-            view: &ModelView,
-        ) -> Result<Box<dyn MipsSolver>, mips_core::MipsError> {
-            std::thread::sleep(BUILD);
-            Ok(Box::new(Slow(mips_core::BmmSolver::build_view(view))))
+            Ok(Box::new(Slow(mips_core::BmmSolver::build(
+                view,
+                ScanTier::F64,
+            ))))
         }
     }
 
@@ -529,12 +524,15 @@ fn per_shard_single_backend_plans_without_sampling() {
 #[test]
 fn fn_factories_serve_per_shard_through_the_default_view_build() {
     // A custom backend that never heard of views still works under
-    // PerShard: the default `build_view` materializes the shard sub-model.
+    // PerShard: `FnFactory` materializes the shard sub-model.
     let engine = Arc::new(
         EngineBuilder::new()
             .model(model(50, 25))
             .register(FnFactory::new("custom", |m: &Arc<MfModel>| {
-                Ok(Box::new(mips_core::BmmSolver::build(Arc::clone(m))) as Box<dyn MipsSolver>)
+                Ok(Box::new(mips_core::BmmSolver::build(
+                    &ModelView::full(m),
+                    ScanTier::F64,
+                )) as Box<dyn MipsSolver>)
             }))
             .build()
             .unwrap(),

@@ -10,8 +10,9 @@ use mips_core::engine::{Engine, EngineBuilder, ExclusionSet, FnFactory, MipsErro
 use mips_core::optimus::OptimusConfig;
 use mips_core::serve::ServerBuilder;
 use mips_core::solver::MipsSolver;
+use mips_core::ScanTier;
 use mips_data::synth::{synth_model, SynthConfig};
-use mips_data::MfModel;
+use mips_data::{MfModel, ModelView};
 use mips_linalg::CacheConfig;
 use mips_topk::TopKList;
 use std::ops::Range;
@@ -317,7 +318,7 @@ fn try_submit_applies_backpressure_and_blocking_submit_recovers() {
             .model(Arc::clone(&m))
             .register(FnFactory::new("slow", |model: &Arc<MfModel>| {
                 Ok(Box::new(SlowSolver {
-                    inner: mips_core::BmmSolver::build(Arc::clone(model)),
+                    inner: mips_core::BmmSolver::build(&ModelView::full(model), ScanTier::F64),
                 }) as Box<dyn MipsSolver>)
             }))
             .build()
@@ -407,7 +408,7 @@ fn worker_panic_fails_the_request_but_not_the_server() {
             .model(Arc::clone(&m))
             .register(FnFactory::new("trap", |model: &Arc<MfModel>| {
                 Ok(Box::new(TrapSolver {
-                    inner: mips_core::BmmSolver::build(Arc::clone(model)),
+                    inner: mips_core::BmmSolver::build(&ModelView::full(model), ScanTier::F64),
                 }) as Box<dyn MipsSolver>)
             }))
             .build()

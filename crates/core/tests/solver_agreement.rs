@@ -6,7 +6,7 @@ use mips_core::engine::{
 };
 use mips_core::maximus::{ClusteringAlgo, MaximusConfig};
 use mips_core::verify::check_all_topk;
-use mips_data::MfModel;
+use mips_data::{MfModel, ModelView};
 use mips_lemp::LempConfig;
 use mips_linalg::Matrix;
 use mips_sparse::SparseConfig;
@@ -61,7 +61,7 @@ proptest! {
         let items = Matrix::from_fn(n_items, f, |_, _| next());
         let model = Arc::new(MfModel::new("prop", users, items).unwrap());
         for factory in all_backends() {
-            let solver = factory.build(&model).unwrap();
+            let solver = factory.build(&ModelView::full(&model)).unwrap();
             let results = solver.query_all(k);
             if let Err(msg) = check_all_topk(&model, k, &results, 1e-9) {
                 prop_assert!(false, "{} failed: {}", solver.name(), msg);
@@ -84,9 +84,9 @@ proptest! {
         let model = Arc::new(MfModel::new("ties", users, items).unwrap());
         // With quantized data, exact item-level agreement must hold because
         // every solver breaks ties toward the smaller id.
-        let reference = BmmFactory.build(&model).unwrap().query_all(k);
+        let reference = BmmFactory.build(&ModelView::full(&model)).unwrap().query_all(k);
         for factory in all_backends() {
-            let solver = factory.build(&model).unwrap();
+            let solver = factory.build(&ModelView::full(&model)).unwrap();
             let results = solver.query_all(k);
             for u in 0..4 {
                 prop_assert_eq!(&results[u].items, &reference[u].items,

@@ -10,9 +10,10 @@
 //! point-lookup path the query-API redesign added.
 
 use mips_core::solver::MipsSolver;
+use mips_core::ScanTier;
 use mips_core::{BmmSolver, SparseSolver};
 use mips_data::sparse::{synth_sparse_model, SparseSynthConfig, SparseVec};
-use mips_data::MfModel;
+use mips_data::{MfModel, ModelView};
 use mips_linalg::kernels::dot_gemm_ordered;
 use mips_linalg::Matrix;
 use mips_sparse::SparseConfig;
@@ -93,7 +94,7 @@ proptest! {
             dense_head: dense_head.min(f),
             seed,
         }));
-        let bmm = BmmSolver::build(Arc::clone(&model));
+        let bmm = BmmSolver::build(&ModelView::full(&model), ScanTier::F64);
         for config in config_grid() {
             let sparse = SparseSolver::build(Arc::clone(&model), &config);
             for k in k_edges(items) {
@@ -130,7 +131,7 @@ proptest! {
         }
         let users_matrix = Matrix::from_fn(users, f, |_, _| next());
         let model = Arc::new(MfModel::new("ties", users_matrix, item_matrix).unwrap());
-        let bmm = BmmSolver::build(Arc::clone(&model));
+        let bmm = BmmSolver::build(&ModelView::full(&model), ScanTier::F64);
         for config in config_grid() {
             let sparse = SparseSolver::build(Arc::clone(&model), &config);
             for k in k_edges(items) {
@@ -212,7 +213,7 @@ fn backends_without_point_lookup_return_none() {
         dense_head: 0,
         seed: 7,
     }));
-    let bmm = BmmSolver::build(Arc::clone(&model));
+    let bmm = BmmSolver::build(&ModelView::full(&model), ScanTier::F64);
     assert!(MipsSolver::query_vector(&bmm, &[1.0; 8], 3).is_none());
 }
 

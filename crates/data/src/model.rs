@@ -1,7 +1,7 @@
 //! The matrix-factorization model type consumed by every MIPS solver, and
 //! the zero-copy [`ModelView`] over a contiguous user range of it.
 
-use mips_linalg::{dot, norm2, quantize_row_i8, LinalgError, Matrix, RowBlock, I8_DOT_MAX_LEN};
+use mips_linalg::{dot, quantize_row_i8, LinalgError, Matrix, RowBlock, I8_DOT_MAX_LEN};
 use std::fmt;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -65,82 +65,13 @@ pub struct MfModel {
     /// must defend against NaN (the serving engine's model intake) skip
     /// their re-scan when this is set.
     validated: bool,
-    /// The lazily built single-precision mirror (see [`Mirror32`]), cached
-    /// for the model's lifetime like solvers and plans are cached per epoch:
-    /// a swapped-in model builds its mirror at most once, and every view or
+    /// The lazily built int8 mirror (see [`MirrorI8`]), cached for the
+    /// model's lifetime like solvers and plans are cached per epoch: a
+    /// swapped-in model builds its mirror at most once, and every view or
     /// shard over the model shares it through the parent `Arc`. Cloning a
     /// model shares an already built mirror (the mirror is a pure function
     /// of the factor matrices, which clones share).
-    mirror32: OnceLock<Arc<Mirror32>>,
-    /// The lazily built int8 mirror (see [`MirrorI8`]); same caching and
-    /// sharing discipline as `mirror32`.
     mirror_i8: OnceLock<Arc<MirrorI8>>,
-}
-
-/// The single-precision mirror of a model's factor matrices, plus the exact
-/// (f64) row norms the screen envelope is evaluated against.
-///
-/// This is the data side of the mixed-precision screen path: scan backends
-/// prune in f32 against `users()`/`items()`, widen every screened score by
-/// `mips_linalg::f32_screen_envelope(f, user_norms[u], item_norms[i])`, and
-/// rescore the survivors on the parent model's f64 matrices. The norms are
-/// computed in f64 *before* rounding, so the envelope's Cauchy–Schwarz bound
-/// refers to the true vectors.
-///
-/// `f64 → f32` conversion rounds to nearest; values beyond f32 range become
-/// infinite, in which case the mirror marks itself unusable
-/// ([`Mirror32::is_usable`]) and every consumer falls back to the pure-f64
-/// path rather than screening against garbage.
-#[derive(Debug)]
-pub struct Mirror32 {
-    users: Matrix<f32>,
-    items: Matrix<f32>,
-    user_norms: Vec<f64>,
-    item_norms: Vec<f64>,
-    usable: bool,
-}
-
-impl Mirror32 {
-    fn build(users: &Matrix<f64>, items: &Matrix<f64>) -> Mirror32 {
-        let users32: Matrix<f32> = users.cast();
-        let items32: Matrix<f32> = items.cast();
-        let usable = users32.as_slice().iter().all(|v| v.is_finite())
-            && items32.as_slice().iter().all(|v| v.is_finite());
-        let row_norms = |m: &Matrix<f64>| m.iter_rows().map(norm2).collect();
-        Mirror32 {
-            user_norms: row_norms(users),
-            item_norms: row_norms(items),
-            users: users32,
-            items: items32,
-            usable,
-        }
-    }
-
-    /// The rounded user factor matrix (`|U| × f`).
-    pub fn users(&self) -> &Matrix<f32> {
-        &self.users
-    }
-
-    /// The rounded item factor matrix (`|I| × f`).
-    pub fn items(&self) -> &Matrix<f32> {
-        &self.items
-    }
-
-    /// Exact (f64) Euclidean norm of each original user row.
-    pub fn user_norms(&self) -> &[f64] {
-        &self.user_norms
-    }
-
-    /// Exact (f64) Euclidean norm of each original item row.
-    pub fn item_norms(&self) -> &[f64] {
-        &self.item_norms
-    }
-
-    /// `false` when some factor overflowed the f32 range, making the mirror
-    /// unfit for screening (consumers must fall back to f64-direct).
-    pub fn is_usable(&self) -> bool {
-        self.usable
-    }
 }
 
 /// The int8 mirror of a model's factor matrices: every row quantized
@@ -148,9 +79,9 @@ impl Mirror32 {
 /// (`mips_linalg::quant::scale_for`), plus the exact (f64) L1 norms the int8
 /// screen envelope is evaluated against.
 ///
-/// This is the data side of the int8 screen tier below the f32 one: scan
-/// backends compute the *exact* integer dot `D = q(u)·q(i)` (order-invariant,
-/// so bit-identical across SIMD kernels), reconstruct `ŝ = D/(s_u·s_i)`,
+/// This is the data side of the int8 screen tier: scan backends compute
+/// the *exact* integer dot `D = q(u)·q(i)` (order-invariant, so
+/// bit-identical across SIMD kernels), reconstruct `ŝ = D/(s_u·s_i)`,
 /// widen by `mips_linalg::i8_screen_envelope_parts` — which needs `s_u`,
 /// `‖u‖₁`, `1/s_i`, and `‖i‖₁` — and rescore the survivors on the parent
 /// model's f64 matrices. The L1 norms are computed in f64 *before* rounding,
@@ -282,7 +213,6 @@ impl MfModel {
             users,
             items,
             validated: true,
-            mirror32: OnceLock::new(),
             mirror_i8: OnceLock::new(),
         })
     }
@@ -305,7 +235,6 @@ impl MfModel {
             users,
             items,
             validated: false,
-            mirror32: OnceLock::new(),
             mirror_i8: OnceLock::new(),
         }
     }
@@ -370,21 +299,13 @@ impl MfModel {
             items: self.items.clone(),
             // Row-gathering validated matrices cannot introduce NaN.
             validated: self.validated,
-            mirror32: OnceLock::new(),
             mirror_i8: OnceLock::new(),
         }
     }
 
-    /// The single-precision mirror, built on first use and cached for the
-    /// model's lifetime (see [`Mirror32`]). Thread-safe: concurrent first
-    /// callers race to build and all observe one winner.
-    pub fn mirror32(&self) -> &Arc<Mirror32> {
-        self.mirror32
-            .get_or_init(|| Arc::new(Mirror32::build(&self.users, &self.items)))
-    }
-
     /// The int8 mirror, built on first use and cached for the model's
-    /// lifetime (see [`MirrorI8`]). Thread-safe like [`MfModel::mirror32`].
+    /// lifetime (see [`MirrorI8`]). Thread-safe: concurrent first callers
+    /// race to build and all observe one winner.
     pub fn mirror_i8(&self) -> &Arc<MirrorI8> {
         self.mirror_i8
             .get_or_init(|| Arc::new(MirrorI8::build(&self.users, &self.items)))
@@ -501,15 +422,8 @@ impl ModelView {
             // Slicing preserves the parent's validation status: no new
             // values are introduced.
             validated: self.model.validated,
-            mirror32: OnceLock::new(),
             mirror_i8: OnceLock::new(),
         })
-    }
-
-    /// The parent model's single-precision mirror (shared across every view
-    /// of the model; local rows address it at `user_range().start + row`).
-    pub fn mirror32(&self) -> &Arc<Mirror32> {
-        self.model.mirror32()
     }
 
     /// The parent model's int8 mirror (shared across every view of the
@@ -610,30 +524,6 @@ mod tests {
         assert!(sub.is_validated(), "slicing keeps the validation status");
         // Local row 0 of the view is global user 1.
         assert_eq!(sub.predict(0, 2), m.predict(1, 2));
-    }
-
-    #[test]
-    fn mirror32_is_lazy_shared_and_rounds_to_nearest() {
-        let m = MfModel::new_shared("m", users2x2(), items3x2()).unwrap();
-        let mirror = m.mirror32();
-        assert!(mirror.is_usable());
-        assert_eq!(mirror.users().rows(), 2);
-        assert_eq!(mirror.items().rows(), 3);
-        assert_eq!(mirror.items().get(2, 1), 6.0_f32);
-        // Norms are the exact f64 row norms.
-        assert!((mirror.item_norms()[0] - (1.0f64 + 4.0).sqrt()).abs() < 1e-12);
-        assert_eq!(mirror.user_norms().len(), 2);
-        // Repeated calls and views share one build.
-        assert!(Arc::ptr_eq(m.mirror32(), mirror));
-        let view = ModelView::of_range(&m, 0..1);
-        assert!(Arc::ptr_eq(view.mirror32(), mirror));
-    }
-
-    #[test]
-    fn mirror32_flags_f32_overflow_as_unusable() {
-        let users = Matrix::from_vec(1, 2, vec![1e300, 0.0]).unwrap();
-        let m = MfModel::new("big", users, items3x2()).unwrap();
-        assert!(!m.mirror32().is_usable());
     }
 
     #[test]

@@ -26,11 +26,6 @@ pub struct Bucket {
     pub dir_suffix_at_cp: Vec<f64>,
     /// Largest norm in the bucket (`b₁` in the paper's notation).
     pub max_norm: f64,
-    /// Rounded single-precision mirror of [`Bucket::vectors`], present only
-    /// after [`Bucket::build_screen_mirror`]: the f32 screen scores items
-    /// from these rows before the exact verification dot (see
-    /// [`crate::scan`]).
-    pub vectors32: Option<Matrix<f32>>,
     /// Symmetric int8 mirror of [`Bucket::vectors`], present only after a
     /// successful [`Bucket::build_screen_mirror_i8`]: the int8 screen
     /// scores items with exact integer dots before the exact verification
@@ -59,16 +54,6 @@ impl Bucket {
     /// `true` when the bucket holds no items.
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
-    }
-
-    /// Fills [`Bucket::vectors32`] with the rounded single-precision copy
-    /// of the item vectors, enabling the mixed-precision screen in the
-    /// scans. Idempotent; a no-op when the mirror already exists.
-    pub fn build_screen_mirror(&mut self) {
-        if self.vectors32.is_none() {
-            let (n, f) = (self.vectors.rows(), self.vectors.cols());
-            self.vectors32 = Some(Matrix::from_fn(n, f, |r, c| self.vectors.get(r, c) as f32));
-        }
     }
 
     /// Fills [`Bucket::vectors_i8`] with the symmetric int8 codes of the
@@ -166,7 +151,6 @@ pub fn build_buckets(items: &Matrix<f64>, bucket_size: usize, checkpoint: usize)
                 norms,
                 dir_suffix_at_cp,
                 max_norm,
-                vectors32: None,
                 vectors_i8: None,
             }
         })
@@ -239,25 +223,6 @@ mod tests {
         for r in 0..b.len() {
             let direct = norm2(&b.dirs.row(r)[cp..]);
             assert!((b.dir_suffix_at_cp[r] - direct).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn screen_mirror_rounds_every_vector_entry() {
-        let mut buckets = build_buckets(&items(), 2, 1);
-        assert!(buckets.iter().all(|b| b.vectors32.is_none()));
-        for b in &mut buckets {
-            b.build_screen_mirror();
-            let v32 = b.vectors32.as_ref().unwrap();
-            assert_eq!(
-                (v32.rows(), v32.cols()),
-                (b.vectors.rows(), b.vectors.cols())
-            );
-            for r in 0..b.len() {
-                for c in 0..v32.cols() {
-                    assert_eq!(v32.get(r, c), b.vectors.get(r, c) as f32);
-                }
-            }
         }
     }
 

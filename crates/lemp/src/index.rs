@@ -29,7 +29,6 @@ pub struct LempIndex {
     algos: Vec<RetrievalAlgo>,
     checkpoint: usize,
     num_factors: usize,
-    screening: bool,
     screening_i8: bool,
 }
 
@@ -54,44 +53,22 @@ impl LempIndex {
             algos,
             checkpoint,
             num_factors: f,
-            screening: false,
             screening_i8: false,
         }
     }
 
-    /// Enables the mixed-precision screen: every bucket gets a rounded
-    /// single-precision mirror of its item vectors, and subsequent queries
-    /// pre-score candidates in f32 — pruning only those the
-    /// [`mips_linalg::f32_screen_envelope`]-widened score proves cannot
-    /// enter the heap — before the exact f64 verification dot. Results
-    /// stay bit-identical to the pure double-precision scan (see
-    /// [`crate::scan`]). Idempotent.
-    pub fn enable_screen(&mut self) {
-        for b in &mut self.buckets {
-            b.build_screen_mirror();
-        }
-        self.screening = true;
-    }
-
-    /// Enables the int8 screen — the tier below
-    /// [`LempIndex::enable_screen`]: every bucket gets a symmetric int8
+    /// Enables the int8 screen: every bucket gets a symmetric int8
     /// mirror of its item vectors, and subsequent queries pre-score
     /// candidates with exact integer dots, pruning only those the
     /// [`mips_linalg::i8_screen_envelope_parts`]-widened estimate proves
     /// cannot enter the heap. Results stay bit-identical (see
     /// [`crate::scan`]). No-op — the index keeps its plain identity — when
     /// any bucket's quantization degenerates (subnormal rows, factor
-    /// counts past [`mips_linalg::I8_DOT_MAX_LEN`]). Takes precedence over
-    /// an armed f32 screen. Idempotent.
+    /// counts past [`mips_linalg::I8_DOT_MAX_LEN`]). Idempotent.
     pub fn enable_screen_i8(&mut self) {
         if self.buckets.iter_mut().all(|b| b.build_screen_mirror_i8()) {
             self.screening_i8 = true;
         }
-    }
-
-    /// `true` once [`LempIndex::enable_screen`] has armed the f32 screen.
-    pub fn is_screening(&self) -> bool {
-        self.screening
     }
 
     /// `true` once [`LempIndex::enable_screen_i8`] has armed the int8
@@ -129,8 +106,6 @@ impl LempIndex {
         let ctx = UserCtx::new(user, self.checkpoint);
         let ctx = if self.screening_i8 {
             ctx.with_screen_i8()
-        } else if self.screening {
-            ctx.with_screen()
         } else {
             ctx
         };
@@ -237,28 +212,6 @@ mod tests {
         let m = model(0.5);
         let index = LempIndex::build(&m, &LempConfig::default());
         assert!(index.query(m.users().row(0), 0).is_empty());
-    }
-
-    #[test]
-    fn screened_index_is_bit_identical_and_prunes() {
-        let m = model(0.8);
-        let plain = LempIndex::build(&m, &LempConfig::default());
-        let mut screened = plain.clone();
-        assert!(!screened.is_screening());
-        screened.enable_screen();
-        assert!(screened.is_screening());
-        let mut stats = QueryStats::default();
-        for k in [1usize, 5, 17] {
-            for u in 0..m.num_users() {
-                let want = plain.query(m.users().row(u), k);
-                let got = screened.query_with_stats(m.users().row(u), k, &mut stats);
-                assert_eq!(got.items, want.items, "k={k} u={u}");
-                for (a, b) in got.scores.iter().zip(&want.scores) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "k={k} u={u}");
-                }
-            }
-        }
-        assert!(stats.scan.screen_pruned > 0, "screen never engaged");
     }
 
     #[test]

@@ -14,22 +14,18 @@
 //! which dominates the proved re-association bound
 //! ([`mips_linalg::sumsq_reassoc_bound`]) by orders of magnitude.
 //!
-//! When the index carries f32 mirrors, a **mixed-precision screen** runs
-//! just before each verification dot: the item is scored through the
-//! single-precision kernels, the score widened by the
-//! [`mips_linalg::f32_screen_envelope`] error bound, and the exact dot is
-//! skipped when even the widened score cannot reach the heap threshold —
-//! the skipped push was guaranteed to be rejected, so results stay
-//! bit-identical to the pure double-precision scan.
-//!
-//! The **int8 screen** is the tier below: items carry symmetric int8 codes
+//! When the index carries int8 mirrors, an **int8 screen** runs just
+//! before each verification dot: items carry symmetric int8 codes
 //! ([`crate::bucket::BucketI8`]), the pre-score is an exact integer dot
-//! reconstructed through the per-row scales, and the widening envelope is
-//! [`mips_linalg::i8_screen_envelope_parts`] — the same skip-only-when-
-//! hopeless discipline, an eighth of the scan bandwidth.
+//! reconstructed through the per-row scales, widened by the
+//! [`mips_linalg::i8_screen_envelope_parts`] error bound, and the exact dot
+//! is skipped when even the widened score cannot reach the heap threshold —
+//! the skipped push was guaranteed to be rejected, so results stay
+//! bit-identical to the pure double-precision scan, at an eighth of the
+//! scan bandwidth.
 
 use crate::bucket::Bucket;
-use mips_linalg::kernels::{dot, f32_screen_envelope_parts, norm2, suffix_norms};
+use mips_linalg::kernels::{dot, norm2, suffix_norms};
 use mips_linalg::{dot_i8, i8_screen_envelope_parts, quantize_row_i8};
 use mips_topk::TopKHeap;
 
@@ -69,21 +65,8 @@ pub enum RetrievalAlgo {
     Incr,
 }
 
-/// Per-user state of the mixed-precision screen (consumed by the scan
-/// kernels' verify-and-push step).
-#[derive(Debug, Clone)]
-pub struct ScreenCtx {
-    /// Rounded single-precision copy of the user vector.
-    pub user32: Vec<f32>,
-    /// `rel · ‖u‖` where `(rel, abs) = f32_screen_envelope_parts(f)`: the
-    /// per-item screen envelope is `env_rel_u · ‖i‖ + env_abs`.
-    pub env_rel_u: f64,
-    /// The envelope's absolute term.
-    pub env_abs: f64,
-}
-
 /// Per-user state of the int8 screen (consumed by the scan kernels'
-/// verify-and-push step, preferred over [`ScreenCtx`] when both are armed).
+/// verify-and-push step).
 #[derive(Debug, Clone)]
 pub struct ScreenCtxI8 {
     /// Symmetric int8 codes of the user vector.
@@ -111,8 +94,6 @@ pub struct UserCtx {
     pub unit_suffix_at_cp: f64,
     /// The INCR checkpoint used to compute `unit_suffix_at_cp`.
     pub checkpoint: usize,
-    /// f32 screen state, present only via [`UserCtx::with_screen`].
-    pub screen: Option<ScreenCtx>,
     /// int8 screen state, present only via [`UserCtx::with_screen_i8`]
     /// (and only when the user row quantizes finitely).
     pub screen_i8: Option<ScreenCtxI8>,
@@ -141,23 +122,8 @@ impl UserCtx {
             unit,
             unit_suffix_at_cp,
             checkpoint,
-            screen: None,
             screen_i8: None,
         }
-    }
-
-    /// Arms the mixed-precision screen: rounds the user vector to f32 and
-    /// precomputes the [`mips_linalg::f32_screen_envelope`] coefficients.
-    /// Only buckets that carry an f32 mirror
-    /// ([`Bucket::build_screen_mirror`]) actually screen.
-    pub fn with_screen(mut self) -> UserCtx {
-        let (rel, abs) = f32_screen_envelope_parts(self.user.len());
-        self.screen = Some(ScreenCtx {
-            user32: self.user.iter().map(|&v| v as f32).collect(),
-            env_rel_u: rel * self.norm,
-            env_abs: abs,
-        });
-        self
     }
 
     /// Arms the int8 screen: quantizes the user vector to symmetric int8
@@ -191,13 +157,13 @@ pub struct ScanStats {
     pub length_pruned: u64,
     /// Items skipped by the INCR partial-product bound.
     pub incr_pruned: u64,
-    /// Items the mixed-precision screen evaluated (f32 or int8): every
+    /// Items the int8 screen evaluated: every
     /// screen pre-score computed, whether it pruned or not.
     /// `screen_evaluated - screen_pruned` survivors went on to the exact
     /// verification dot.
     pub screen_evaluated: u64,
     /// Items whose exact verification dot (and guaranteed-rejected heap
-    /// push) was skipped by the mixed-precision screen (f32 or int8).
+    /// push) was skipped by the int8 screen.
     pub screen_pruned: u64,
 }
 
@@ -227,18 +193,16 @@ pub fn scan_bucket(
     }
 }
 
-/// The exact verification dot and push, gated by the mixed-precision
-/// screen when both sides carry f32 mirrors ([`UserCtx::with_screen`],
-/// [`Bucket::build_screen_mirror`]).
+/// The exact verification dot and push, gated by the int8 screen when
+/// both sides carry int8 codes ([`UserCtx::with_screen_i8`],
+/// [`Bucket::build_screen_mirror_i8`]).
 ///
-/// The screen scores the item through the dispatched single-precision
-/// kernel and widens the result by the
-/// [`mips_linalg::f32_screen_envelope`] error bound. When even the widened
-/// score sits strictly below the heap threshold, the exact score does too,
-/// so its push would have been rejected — skipping the f64 dot *and* the
-/// push leaves the heap trajectory, and therefore the results, bit-
-/// identical to the pure double-precision scan. A non-finite screen score
-/// (an operand overflowed the f32 range while rounding) never prunes.
+/// The screen scores the item with an exact integer dot and widens the
+/// reconstructed estimate by the [`i8_screen_envelope_parts`] error bound.
+/// When even the widened score sits strictly below the heap threshold, the
+/// exact score does too, so its push would have been rejected — skipping
+/// the f64 dot *and* the push leaves the heap trajectory, and therefore the
+/// results, bit-identical to the pure double-precision scan.
 #[inline]
 fn verify_and_push(
     bucket: &Bucket,
@@ -249,8 +213,6 @@ fn verify_and_push(
     stats: &mut ScanStats,
 ) {
     if heap.is_full() {
-        // The int8 tier takes precedence when both screens are armed: same
-        // skip-only-when-hopeless discipline, an eighth of the bandwidth.
         // The integer estimate is always finite by construction.
         if let (Some(sc), Some(qi)) = (&ctx.screen_i8, bucket.vectors_i8.as_ref()) {
             let f = sc.codes.len();
@@ -260,14 +222,6 @@ fn verify_and_push(
             let env = sc.env_a * inv_si + sc.env_b * qi.l1[r];
             stats.screen_evaluated += 1;
             if est + env < heap.threshold() {
-                stats.screen_pruned += 1;
-                return;
-            }
-        } else if let (Some(sc), Some(v32)) = (&ctx.screen, bucket.vectors32.as_ref()) {
-            let s32 = dot(&sc.user32, v32.row(r)) as f64;
-            let env = sc.env_rel_u.mul_add(bucket.norms[r], sc.env_abs);
-            stats.screen_evaluated += 1;
-            if s32.is_finite() && s32 + env < heap.threshold() {
                 stats.screen_pruned += 1;
                 return;
             }
@@ -345,20 +299,13 @@ mod tests {
         heap.into_sorted().items
     }
 
-    #[derive(Clone, Copy, PartialEq)]
-    enum Tier {
-        F64,
-        F32,
-        I8,
-    }
-
     fn run_algo(
         algo: RetrievalAlgo,
         items: &Matrix<f64>,
         user: &[f64],
         k: usize,
     ) -> (Vec<u32>, ScanStats) {
-        let (list, stats) = run_algo_screened(algo, items, user, k, Tier::F64);
+        let (list, stats) = run_algo_screened(algo, items, user, k, false);
         (list.items, stats)
     }
 
@@ -367,25 +314,16 @@ mod tests {
         items: &Matrix<f64>,
         user: &[f64],
         k: usize,
-        tier: Tier,
+        screened: bool,
     ) -> (mips_topk::TopKList, ScanStats) {
         let cp = (items.cols() / 4).max(1);
         let mut buckets = build_buckets(items, 16, cp);
         let mut ctx = UserCtx::new(user, cp);
-        match tier {
-            Tier::F64 => {}
-            Tier::F32 => {
-                for b in &mut buckets {
-                    b.build_screen_mirror();
-                }
-                ctx = ctx.with_screen();
+        if screened {
+            for b in &mut buckets {
+                assert!(b.build_screen_mirror_i8());
             }
-            Tier::I8 => {
-                for b in &mut buckets {
-                    assert!(b.build_screen_mirror_i8());
-                }
-                ctx = ctx.with_screen_i8();
-            }
+            ctx = ctx.with_screen_i8();
         }
         let mut heap = TopKHeap::new(k);
         let mut stats = ScanStats::default();
@@ -483,8 +421,7 @@ mod tests {
     fn screened_scans_are_bit_identical_and_prune() {
         let items = random_items(300, 24, 11);
         let users = random_items(6, 24, 42);
-        let mut pruned_f32 = 0;
-        let mut pruned_i8 = 0;
+        let mut pruned = 0;
         for u in 0..users.rows() {
             let user = users.row(u);
             for k in [1usize, 4, 9] {
@@ -493,45 +430,25 @@ mod tests {
                     RetrievalAlgo::Length,
                     RetrievalAlgo::Incr,
                 ] {
-                    let (want, _) = run_algo_screened(algo, &items, user, k, Tier::F64);
-                    for tier in [Tier::F32, Tier::I8] {
-                        let (got, stats) = run_algo_screened(algo, &items, user, k, tier);
-                        assert_eq!(got.items, want.items, "algo {algo:?} k={k} user {u}");
-                        for (a, b) in got.scores.iter().zip(&want.scores) {
-                            assert_eq!(a.to_bits(), b.to_bits(), "algo {algo:?} k={k} user {u}");
-                        }
-                        match tier {
-                            Tier::F32 => pruned_f32 += stats.screen_pruned,
-                            _ => pruned_i8 += stats.screen_pruned,
-                        }
+                    let (want, _) = run_algo_screened(algo, &items, user, k, false);
+                    let (got, stats) = run_algo_screened(algo, &items, user, k, true);
+                    assert_eq!(got.items, want.items, "algo {algo:?} k={k} user {u}");
+                    for (a, b) in got.scores.iter().zip(&want.scores) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "algo {algo:?} k={k} user {u}");
                     }
+                    pruned += stats.screen_pruned;
                 }
             }
         }
         // Random dense scores leave most items far from the top-k
-        // threshold: the screens must actually be saving exact dots.
-        assert!(pruned_f32 > 0, "f32 screen never pruned anything");
-        assert!(pruned_i8 > 0, "i8 screen never pruned anything");
-    }
-
-    #[test]
-    fn screen_without_bucket_mirror_degrades_to_plain_scan() {
-        // A screened UserCtx against mirror-less buckets must not change
-        // behavior (the screen needs both sides).
-        let items = random_items(80, 8, 3);
-        let buckets = build_buckets(&items, 16, 2);
-        let ctx = UserCtx::new(items.row(0), 2).with_screen();
-        let mut heap = TopKHeap::new(5);
-        let mut stats = ScanStats::default();
-        for b in &buckets {
-            scan_bucket(RetrievalAlgo::Naive, b, &ctx, &mut heap, &mut stats);
-        }
-        assert_eq!(stats.screen_pruned, 0);
-        assert_eq!(stats.dots_computed, 80);
+        // threshold: the screen must actually be saving exact dots.
+        assert!(pruned > 0, "i8 screen never pruned anything");
     }
 
     #[test]
     fn i8_screen_without_bucket_mirror_degrades_to_plain_scan() {
+        // A screened UserCtx against mirror-less buckets must not change
+        // behavior (the screen needs both sides).
         let items = random_items(80, 8, 3);
         let buckets = build_buckets(&items, 16, 2);
         let ctx = UserCtx::new(items.row(0), 2).with_screen_i8();
@@ -553,8 +470,8 @@ mod tests {
         let user = vec![1.0e-320; 6];
         let ctx = UserCtx::new(&user, 2).with_screen_i8();
         assert!(ctx.screen_i8.is_none());
-        let (got, stats) = run_algo_screened(RetrievalAlgo::Naive, &items, &user, 5, Tier::I8);
-        let (want, _) = run_algo_screened(RetrievalAlgo::Naive, &items, &user, 5, Tier::F64);
+        let (got, stats) = run_algo_screened(RetrievalAlgo::Naive, &items, &user, 5, true);
+        let (want, _) = run_algo_screened(RetrievalAlgo::Naive, &items, &user, 5, false);
         assert_eq!(got.items, want.items);
         assert_eq!(stats.screen_pruned, 0);
     }

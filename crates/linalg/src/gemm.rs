@@ -355,14 +355,7 @@ fn macro_kernel<T: Scalar>(
                 simd::acc_as_f64_mut(&mut acc),
             ) {
                 (Some(ap), Some(bp), Some(af)) => kern.micro_4x8(ap, bp, af),
-                _ => match (
-                    simd::as_f32(a_panel),
-                    simd::as_f32(b_panel),
-                    simd::acc_as_f32_mut(&mut acc),
-                ) {
-                    (Some(ap), Some(bp), Some(af)) => kern.micro_4x8_f32(ap, bp, af),
-                    _ => micro_kernel(a_panel, b_panel, &mut acc),
-                },
+                _ => micro_kernel(a_panel, b_panel, &mut acc),
             }
             let c_row0 = ic + qa * MR;
             let c_col0 = jc + qb * NR;
@@ -409,12 +402,6 @@ fn micro_kernel<T: Scalar>(a_panel: &[T], b_panel: &[T], acc: &mut [[T; NR]; MR]
 /// Monomorphic scalar micro-kernel entry for the [`crate::simd::Kernel`]
 /// vtable (the guaranteed fallback and bit-identity reference).
 pub(crate) fn micro_4x8_scalar_f64(a_panel: &[f64], b_panel: &[f64], acc: &mut [[f64; NR]; MR]) {
-    micro_kernel(a_panel, b_panel, acc)
-}
-
-/// Monomorphic `f32` scalar micro-kernel entry (the screen-path fallback;
-/// tolerance contract, see [`crate::simd`]).
-pub(crate) fn micro_4x8_scalar_f32(a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
     micro_kernel(a_panel, b_panel, acc)
 }
 

@@ -27,9 +27,6 @@ pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
     if let (Some(xf), Some(yf)) = (simd::as_f64(x), simd::as_f64(y)) {
         return T::from_f64(simd::active().dot(xf, yf));
     }
-    if let (Some(xf), Some(yf)) = (simd::as_f32(x), simd::as_f32(y)) {
-        return T::from_f64(simd::active().dot_f32(xf, yf) as f64);
-    }
     dot_scalar(x, y)
 }
 
@@ -130,16 +127,6 @@ pub(crate) fn suffix_sumsq_scalar_f64(x: &[f64], out: &mut [f64]) {
     suffix_sumsq_scalar(x, out)
 }
 
-/// Monomorphic `f32` scalar entries for the [`crate::simd::Kernel`] vtable
-/// (the screen-path kernels; tolerance contract, see [`crate::simd`]).
-pub(crate) fn dot_scalar_f32(x: &[f32], y: &[f32]) -> f32 {
-    dot_scalar(x, y)
-}
-
-pub(crate) fn suffix_sumsq_scalar_f32(x: &[f32], out: &mut [f32]) {
-    suffix_sumsq_scalar(x, out)
-}
-
 /// Scalar body of [`crate::simd::Kernel::dot_i8`]: widening i8×i8→i32
 /// multiply-accumulate. Integer addition is associative, so every kernel
 /// set (and any unrolling the autovectorizer applies here) produces the
@@ -181,58 +168,6 @@ pub(crate) fn dot_i8_quad_scalar(x: &[i8], ys: [&[i8]; 4]) -> [i32; 4] {
         acc[3] += u * y3[j] as i32;
     }
     acc
-}
-
-/// Machine epsilon of the f32 *rounding* step: `2⁻²⁴` (half the ulp of 1.0).
-const EPS_ROUND_F32: f64 = 5.960_464_477_539_063e-8;
-
-/// Conservative absolute error envelope of a single-precision screen score.
-///
-/// Let `s = uᵀi` be the exact double-precision score of user `u` and item
-/// `i`, and `ŝ` the value any [`crate::simd::Kernel::dot_f32`] kernel
-/// produces from the *rounded* operands `fl₃₂(u)`, `fl₃₂(i)`. Then
-///
-/// ```text
-/// |ŝ − s| ≤ f32_screen_envelope(f, ‖u‖, ‖i‖)
-/// ```
-///
-/// for every accumulation order the kernels use. Derivation (standard
-/// rounding-error analysis, e.g. Higham, *Accuracy and Stability of
-/// Numerical Algorithms*, ch. 3, with `ε = 2⁻²⁴`):
-///
-/// * rounding each operand contributes at most `2ε + ε²` relative error per
-///   product term;
-/// * multiplying and summing `f` terms in *any* association order, with or
-///   without FMA fusion, contributes at most `γ_f = f·ε/(1 − f·ε)` relative
-///   error per term;
-/// * bounding `Σ|u_j·i_j| ≤ ‖u‖·‖i‖` (Cauchy–Schwarz) turns the per-term
-///   relative bound into the absolute bound `(f + 2)·ε·(1 + o(1))·‖u‖·‖i‖`.
-///
-/// The returned envelope is `(2f + 8)·ε·1.0001·‖u‖·‖i‖ — more than double
-/// the derived bound — plus an absolute term `(f + 4)·2⁻¹²⁶` covering the
-/// region where intermediate f32 values go subnormal and the relative model
-/// breaks down. The slack also absorbs the (f64, correctly rounded)
-/// evaluation of the envelope itself and of the cached norms. Widening a
-/// screen bound by this envelope therefore never excludes a true top-k
-/// member; the trade is a slightly larger rescore set.
-#[inline]
-pub fn f32_screen_envelope(f: usize, unorm: f64, inorm: f64) -> f64 {
-    let (rel, abs) = f32_screen_envelope_parts(f);
-    rel * unorm * inorm + abs
-}
-
-/// The `(relative, absolute)` coefficients of [`f32_screen_envelope`]:
-/// `envelope = rel·‖u‖·‖i‖ + abs`. Exposed so a scan loop can hoist
-/// `rel·‖u‖` out of its per-item envelope evaluation; the envelope's ≥2×
-/// slack covers the rounding difference between the factored and direct
-/// evaluations.
-#[inline]
-pub fn f32_screen_envelope_parts(f: usize) -> (f64, f64) {
-    let f = f as f64;
-    (
-        (2.0 * f + 8.0) * EPS_ROUND_F32 * 1.0001,
-        (f + 4.0) * (f32::MIN_POSITIVE as f64),
-    )
 }
 
 /// Upper bound on the *relative* disagreement between any two summation
@@ -400,13 +335,6 @@ pub fn suffix_norms<T: Scalar>(x: &[T]) -> Vec<T> {
         }
         return out;
     }
-    if let (Some(xf), Some(of)) = (simd::as_f32(x), simd::as_f32_mut(&mut out)) {
-        simd::active().suffix_sumsq_f32(xf, of);
-        for v in &mut out {
-            *v = v.sqrt();
-        }
-        return out;
-    }
     suffix_sumsq_scalar(x, &mut out);
     for v in &mut out {
         *v = v.sqrt();
@@ -431,7 +359,7 @@ mod tests {
     use super::*;
 
     /// Miri-targeted: drives every TypeId-guarded slice reinterpretation
-    /// in `simd/mod.rs` directly — the match arms (`T == f64`/`f32`), the
+    /// in `simd/mod.rs` directly — the match arms (`T == f64`), the
     /// `None` arms, and writes through the `_mut` casts — so the Miri CI
     /// leg checks the pointer casts under strict provenance even though
     /// it cannot execute the vector intrinsics behind them.
@@ -442,29 +370,19 @@ mod tests {
         let xs64 = [1.0f64, -2.0, 3.5];
         let got = simd::as_f64(&xs64).expect("T == f64 must reinterpret");
         assert_eq!(got, &xs64[..]);
-        assert!(simd::as_f32(&xs64).is_none(), "f64 is not f32");
-
         let xs32 = [0.5f32, -4.0];
-        let got = simd::as_f32(&xs32).expect("T == f32 must reinterpret");
-        assert_eq!(got, &xs32[..]);
         assert!(simd::as_f64(&xs32).is_none(), "f32 is not f64");
 
         let mut ys64 = [0.0f64; 4];
         simd::as_f64_mut(&mut ys64).expect("mutable f64 cast")[2] = 9.0;
         assert_eq!(ys64[2], 9.0);
         let mut ys32 = [0.0f32; 4];
-        simd::as_f32_mut(&mut ys32).expect("mutable f32 cast")[1] = 7.0;
-        assert_eq!(ys32[1], 7.0);
         assert!(simd::as_f64_mut(&mut ys32).is_none());
-        assert!(simd::as_f32_mut(&mut ys64).is_none());
 
         let mut acc64 = [[0.0f64; NR]; MR];
         simd::acc_as_f64_mut(&mut acc64).expect("f64 tile cast")[MR - 1][NR - 1] = 1.5;
         assert_eq!(acc64[MR - 1][NR - 1], 1.5);
-        assert!(simd::acc_as_f32_mut(&mut acc64).is_none());
         let mut acc32 = [[0.0f32; NR]; MR];
-        simd::acc_as_f32_mut(&mut acc32).expect("f32 tile cast")[0][0] = 2.5;
-        assert_eq!(acc32[0][0], 2.5);
         assert!(simd::acc_as_f64_mut(&mut acc32).is_none());
     }
 
@@ -596,43 +514,6 @@ mod tests {
         assert!(sumsq_reassoc_bound(64) < sumsq_reassoc_bound(4096));
         assert!(sumsq_reassoc_bound(4096) < 1e-12);
         assert!(sumsq_reassoc_bound(100_000) < 1e-10);
-    }
-
-    #[test]
-    fn screen_envelope_is_conservative_on_adversarial_dots() {
-        // Near-cancelling vectors maximize the relative damage of f32
-        // rounding; the envelope must still contain the exact score.
-        let mut state = 0xC0FFEEu64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
-        };
-        for f in [1usize, 8, 50, 200, 1024] {
-            for trial in 0..20 {
-                let x: Vec<f64> = (0..f).map(|_| next()).collect();
-                // Half the trials use a near-negated copy so the exact dot
-                // nearly cancels while the norms stay O(√f).
-                let y: Vec<f64> = if trial % 2 == 0 {
-                    (0..f).map(|_| next()).collect()
-                } else {
-                    x.iter().map(|&v| -v + next() * 1e-4).collect()
-                };
-                let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-                let y32: Vec<f32> = y.iter().map(|&v| v as f32).collect();
-                let exact: f64 = dot_gemm_ordered(&x, &y);
-                let approx = crate::simd::active().dot_f32(&x32, &y32) as f64;
-                let env = f32_screen_envelope(f, norm2(&x), norm2(&y));
-                assert!(
-                    (approx - exact).abs() <= env,
-                    "f {f} trial {trial}: |{approx} - {exact}| > {env}"
-                );
-            }
-        }
-        // Degenerate inputs: zero norms still produce a usable (positive)
-        // envelope via the absolute subnormal term.
-        assert!(f32_screen_envelope(16, 0.0, 0.0) > 0.0);
     }
 
     #[test]

@@ -52,10 +52,7 @@ pub use gemm::{
     gemm_nt_stream_panels, gemm_nt_stream_panels_with, matmul_nn, matvec, naive_gemm_nt,
     GemmScratch,
 };
-pub use kernels::{
-    axpy, dot, f32_screen_envelope, f32_screen_envelope_parts, norm2, norm2_sq, normalize, scale,
-    sumsq_reassoc_bound,
-};
+pub use kernels::{axpy, dot, norm2, norm2_sq, normalize, scale, sumsq_reassoc_bound};
 pub use matrix::{Matrix, RowBlock};
 pub use quant::{
     dot_i8, dot_i8_quad, i8_screen_envelope_parts, quantize_row_i8, scale_for, I8_DOT_MAX_LEN,

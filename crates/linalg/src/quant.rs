@@ -51,7 +51,7 @@ pub const I8_QUANT_LEVEL: f64 = 127.0;
 /// `127² = 16129`, so `f ≤ 65536` bounds any accumulation order by
 /// `2³⁰.3 < i32::MAX` with a 2× margin. Factor counts beyond this are far
 /// outside any MF model this repository targets; consumers gate their i8
-/// mirrors on it ([`mips_data::MirrorI8`] marks itself unusable).
+/// mirrors on it (`mips_data::MirrorI8` marks itself unusable).
 pub const I8_DOT_MAX_LEN: usize = 65536;
 
 /// Quantizes one row symmetrically into `out`, returning `(scale, l1)`:
@@ -123,8 +123,7 @@ const I8_SCREEN_SLACK: f64 = 1.0001;
 /// roundings; the envelope and the cached norms add `O(f·ε₆₄)` — all
 /// orders of magnitude below the slack).
 ///
-/// Unlike the f32 screen, the screen *score* itself carries no
-/// kernel-dependent term: the integer dot `D` is exact in `i32` under
+/// The screen *score* itself carries no kernel-dependent term: the integer dot `D` is exact in `i32` under
 /// every accumulation order (guarded by [`I8_DOT_MAX_LEN`]), so all kernel
 /// sets screen with identical scores and identical candidate sets.
 #[inline]

@@ -195,130 +195,6 @@ unsafe fn suffix_sumsq_inner(x: &[f64], out: &mut [f64]) {
 }
 
 /// Safe wrapper; see module docs for the soundness argument.
-pub(super) fn dot_f32(x: &[f32], y: &[f32]) -> f32 {
-    debug_assert_eq!(x.len(), y.len());
-    // SAFETY: as for `dot`.
-    unsafe { dot_f32_inner(x, y) }
-}
-
-/// Single-precision screen dot: one 8-lane accumulator. No bit-identity
-/// promise (the scalar fallback uses four accumulators) — consumers widen
-/// by the screen envelope, which covers any accumulation order.
-// SAFETY contract: the caller must guarantee AVX2+FMA are available
-// (upheld by constructing the `Kernel` only after feature detection)
-// and pass slices satisfying the safe wrapper's length invariants —
-// every pointer read and write below is in bounds exactly when they
-// hold.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dot_f32_inner(x: &[f32], y: &[f32]) -> f32 {
-    let n = x.len();
-    let chunks = n / 8;
-    let xp = x.as_ptr();
-    let yp = y.as_ptr();
-    let mut acc = _mm256_setzero_ps();
-    for i in 0..chunks {
-        let xv = _mm256_loadu_ps(xp.add(8 * i));
-        let yv = _mm256_loadu_ps(yp.add(8 * i));
-        acc = _mm256_fmadd_ps(xv, yv, acc);
-    }
-    let mut lanes = [0.0f32; 8];
-    _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-    let mut tail = 0.0f32;
-    for j in 8 * chunks..n {
-        tail = (*xp.add(j)).mul_add(*yp.add(j), tail);
-    }
-    (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-        + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
-        + tail
-}
-
-/// Safe wrapper; see module docs for the soundness argument.
-pub(super) fn suffix_sumsq_f32(x: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(out.len(), x.len() + 1);
-    // SAFETY: as for `dot`.
-    unsafe { suffix_sumsq_f32_inner(x, out) }
-}
-
-/// Backward f32 suffix scan, eight squares per vector step (see
-/// `suffix_sumsq` for the carry-chain structure; same tolerance caveats as
-/// every f32 kernel).
-// SAFETY contract: the caller must guarantee AVX2+FMA are available
-// (upheld by constructing the `Kernel` only after feature detection)
-// and pass slices satisfying the safe wrapper's length invariants —
-// every pointer read and write below is in bounds exactly when they
-// hold.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn suffix_sumsq_f32_inner(x: &[f32], out: &mut [f32]) {
-    let n = x.len();
-    let op = out.as_mut_ptr();
-    *op.add(n) = 0.0;
-    let rem = n % 8;
-    let mut carry = 0.0f32;
-    let xp = x.as_ptr();
-    let mut block = n;
-    while block > rem {
-        block -= 8;
-        let v = _mm256_loadu_ps(xp.add(block));
-        let mut sq = [0.0f32; 8];
-        _mm256_storeu_ps(sq.as_mut_ptr(), _mm256_mul_ps(v, v));
-        let mut t = carry;
-        for lane in (0..8).rev() {
-            t += sq[lane];
-            *op.add(block + lane) = t;
-        }
-        carry = t;
-    }
-    let mut j = rem;
-    while j > 0 {
-        j -= 1;
-        carry = (*xp.add(j)).mul_add(*xp.add(j), carry);
-        *op.add(j) = carry;
-    }
-}
-
-/// Safe wrapper; see module docs for the soundness argument.
-pub(super) fn micro_4x8_f32(a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    debug_assert_eq!(a_panel.len() / MR, b_panel.len() / NR);
-    // SAFETY: as for `dot`.
-    unsafe { micro_4x8_f32_inner(a_panel, b_panel, acc) }
-}
-
-/// The f32 `4×8` register tile: one 8-lane vector per row (NR = 8 exactly
-/// fills a YMM of f32), one B load and four A broadcasts per depth step.
-/// Each `(i, j)` lane is a single sequential FMA chain over the packed
-/// depth, like the f64 tile.
-// SAFETY contract: the caller must guarantee AVX2+FMA are available
-// (upheld by constructing the `Kernel` only after feature detection)
-// and pass slices satisfying the safe wrapper's length invariants —
-// every pointer read and write below is in bounds exactly when they
-// hold.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn micro_4x8_f32_inner(a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    let depth = a_panel.len() / MR;
-    let ap = a_panel.as_ptr();
-    let bp = b_panel.as_ptr();
-
-    let mut c0 = _mm256_loadu_ps(acc[0].as_ptr());
-    let mut c1 = _mm256_loadu_ps(acc[1].as_ptr());
-    let mut c2 = _mm256_loadu_ps(acc[2].as_ptr());
-    let mut c3 = _mm256_loadu_ps(acc[3].as_ptr());
-
-    for p in 0..depth {
-        let b = _mm256_loadu_ps(bp.add(p * NR));
-        let arow = ap.add(p * MR);
-        c0 = _mm256_fmadd_ps(_mm256_set1_ps(*arow), b, c0);
-        c1 = _mm256_fmadd_ps(_mm256_set1_ps(*arow.add(1)), b, c1);
-        c2 = _mm256_fmadd_ps(_mm256_set1_ps(*arow.add(2)), b, c2);
-        c3 = _mm256_fmadd_ps(_mm256_set1_ps(*arow.add(3)), b, c3);
-    }
-
-    _mm256_storeu_ps(acc[0].as_mut_ptr(), c0);
-    _mm256_storeu_ps(acc[1].as_mut_ptr(), c1);
-    _mm256_storeu_ps(acc[2].as_mut_ptr(), c2);
-    _mm256_storeu_ps(acc[3].as_mut_ptr(), c3);
-}
-
-/// Safe wrapper; see module docs for the soundness argument.
 pub(super) fn dot_i8(x: &[i8], y: &[i8]) -> i32 {
     debug_assert_eq!(x.len(), y.len());
     // SAFETY: as for `dot`.

@@ -53,33 +53,20 @@
 //! of magnitude to spare) dominate, so exactness of the *search results* is
 //! unaffected.
 //!
-//! ## Single-precision screen kernels
-//!
-//! The `*_f32` entries ([`Kernel::dot_f32`], [`Kernel::suffix_sumsq_f32`],
-//! [`Kernel::micro_4x8_f32`]) exist for the mixed-precision *screen* path:
-//! scan in f32, keep every candidate whose widened bound could still reach
-//! the top-k, then rescore survivors in f64. They are deliberately **outside
-//! the bit-identity contract** — different kernel sets may associate the f32
-//! accumulation differently (8 lanes on AVX2, 2×4 on NEON, 4 scalar chains).
-//! That is sound because no f32 value is ever reported: every consumer wraps
-//! the result in the error envelope of [`crate::f32_screen_envelope`], which
-//! bounds *any* accumulation order, and final scores always come from the
-//! exact f64 path.
-//!
-//! The `fused_exactness` property suite in `mips-topk` exercises both
-//! contracts: bit-identical top-k (scores *and* tie-broken id order) between
+//! The `fused_exactness` property suite in `mips-topk` exercises the
+//! contract: bit-identical top-k (scores *and* tie-broken id order) between
 //! the fused SIMD path and the scalar reference, across shapes that are
 //! deliberately not multiples of the tile sizes.
 //!
 //! ## Int8 screen kernels
 //!
 //! The `*_i8` entries ([`Kernel::dot_i8`], [`Kernel::dot_i8_quad`]) serve
-//! the quantized screen tier beneath the f32 one: item rows are stored as
-//! symmetric int8 codes with per-row scales (`mips_data::MirrorI8`), the
-//! widening i8×i8→i32 accumulation is **exact** under every association
-//! order (`f ≤ `[`crate::quant::I8_DOT_MAX_LEN`] keeps the worst case
-//! inside `i32`), and the AVX2 path uses `pmaddwd`-style paired
-//! multiply-adds while NEON uses `smull`+`sadalp` widening. Because integer
+//! the quantized screen tier: item rows are stored as symmetric int8 codes
+//! with per-row scales (`mips_data::MirrorI8`), the widening i8×i8→i32
+//! accumulation is **exact** under every association order
+//! (`f ≤ `[`crate::quant::I8_DOT_MAX_LEN`] keeps the worst case inside
+//! `i32`), and the AVX2 path uses `pmaddwd`-style paired multiply-adds
+//! while NEON uses `smull`+`sadalp` widening. Because integer
 //! addition is associative, these kernels sit *inside* the bit-identity
 //! contract — every set returns the identical `i32` — so the i8 screen's
 //! envelope ([`crate::quant::i8_screen_envelope_parts`]) only has to cover
@@ -142,9 +129,6 @@ pub struct Kernel {
     dist2_sq: fn(&[f64], &[f64]) -> f64,
     suffix_sumsq: fn(&[f64], &mut [f64]),
     micro_4x8: fn(&[f64], &[f64], &mut [[f64; NR]; MR]),
-    dot_f32: fn(&[f32], &[f32]) -> f32,
-    suffix_sumsq_f32: fn(&[f32], &mut [f32]),
-    micro_4x8_f32: fn(&[f32], &[f32], &mut [[f32; NR]; MR]),
     dot_i8: fn(&[i8], &[i8]) -> i32,
     dot_i8_quad: fn(&[i8], [&[i8]; 4]) -> [i32; 4],
 }
@@ -235,49 +219,10 @@ impl Kernel {
         (self.micro_4x8)(a_panel, b_panel, acc)
     }
 
-    /// Single-precision dot product `xᵀy` for the screen path. **Not**
-    /// bit-identical across kernel sets (see the module docs); callers must
-    /// widen results by [`crate::f32_screen_envelope`].
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    #[inline]
-    pub fn dot_f32(&self, x: &[f32], y: &[f32]) -> f32 {
-        assert_eq!(x.len(), y.len(), "dot_f32: length mismatch");
-        (self.dot_f32)(x, y)
-    }
-
-    /// Single-precision suffix sums of squares (screen path; tolerance, not
-    /// bit-identity — see the module docs).
-    ///
-    /// # Panics
-    /// Panics unless `out.len() == x.len() + 1`.
-    #[inline]
-    pub fn suffix_sumsq_f32(&self, x: &[f32], out: &mut [f32]) {
-        assert_eq!(out.len(), x.len() + 1, "suffix_sumsq_f32: output length");
-        (self.suffix_sumsq_f32)(x, out)
-    }
-
-    /// Single-precision GEMM register micro-kernel (screen path; tolerance,
-    /// not bit-identity — see the module docs).
-    ///
-    /// # Panics
-    /// Panics unless the panel lengths describe the same depth.
-    #[inline]
-    pub fn micro_4x8_f32(&self, a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
-        assert_eq!(
-            a_panel.len() / MR,
-            b_panel.len() / NR,
-            "micro_4x8_f32: panel depth mismatch"
-        );
-        (self.micro_4x8_f32)(a_panel, b_panel, acc)
-    }
-
     /// Int8 dot product `xᵀy` for the quantized screen path, accumulated
-    /// exactly in `i32`. Integer addition is associative, so — unlike the
-    /// f32 screen kernels — every kernel set returns the **identical**
-    /// integer; the i8 screen's envelope only has to cover quantization,
-    /// not accumulation order.
+    /// exactly in `i32`. Integer addition is associative, so every kernel
+    /// set returns the **identical** integer; the i8 screen's envelope only
+    /// has to cover quantization, not accumulation order.
     ///
     /// # Panics
     /// Panics if the lengths differ or exceed
@@ -323,9 +268,6 @@ impl Kernel {
             dist2_sq: crate::kernels::dist2_sq_scalar_f64,
             suffix_sumsq: crate::kernels::suffix_sumsq_scalar_f64,
             micro_4x8: crate::gemm::micro_4x8_scalar_f64,
-            dot_f32: crate::kernels::dot_scalar_f32,
-            suffix_sumsq_f32: crate::kernels::suffix_sumsq_scalar_f32,
-            micro_4x8_f32: crate::gemm::micro_4x8_scalar_f32,
             dot_i8: crate::kernels::dot_scalar_i8,
             dot_i8_quad: crate::kernels::dot_i8_quad_scalar,
         }
@@ -345,9 +287,6 @@ impl Kernel {
                     dist2_sq: avx2::dist2_sq,
                     suffix_sumsq: avx2::suffix_sumsq,
                     micro_4x8: avx2::micro_4x8,
-                    dot_f32: avx2::dot_f32,
-                    suffix_sumsq_f32: avx2::suffix_sumsq_f32,
-                    micro_4x8_f32: avx2::micro_4x8_f32,
                     dot_i8: avx2::dot_i8,
                     dot_i8_quad: avx2::dot_i8_quad,
                 });
@@ -375,9 +314,6 @@ impl Kernel {
                 dist2_sq: neon::dist2_sq,
                 suffix_sumsq: neon::suffix_sumsq,
                 micro_4x8: neon::micro_4x8,
-                dot_f32: neon::dot_f32,
-                suffix_sumsq_f32: neon::suffix_sumsq_f32,
-                micro_4x8_f32: neon::micro_4x8_f32,
                 dot_i8: neon::dot_i8,
                 dot_i8_quad: neon::dot_i8_quad,
             })
@@ -455,41 +391,6 @@ pub(crate) fn acc_as_f64_mut<T: 'static>(acc: &mut [[T; NR]; MR]) -> Option<&mut
         // SAFETY: the TypeId check proves T == f64; the array layout is
         // unchanged, so this is a no-op reinterpretation.
         Some(unsafe { &mut *(acc as *mut [[T; NR]; MR] as *mut [[f64; NR]; MR]) })
-    } else {
-        None
-    }
-}
-
-/// Reinterprets `&[T]` as `&[f32]` when `T` *is* `f32`.
-#[inline(always)]
-pub(crate) fn as_f32<T: 'static>(x: &[T]) -> Option<&[f32]> {
-    if TypeId::of::<T>() == TypeId::of::<f32>() {
-        // SAFETY: the TypeId check proves T == f32, so this is a no-op
-        // reinterpretation of the same slice type.
-        Some(unsafe { &*(x as *const [T] as *const [f32]) })
-    } else {
-        None
-    }
-}
-
-/// Reinterprets `&mut [T]` as `&mut [f32]` when `T` *is* `f32`.
-#[inline(always)]
-pub(crate) fn as_f32_mut<T: 'static>(x: &mut [T]) -> Option<&mut [f32]> {
-    if TypeId::of::<T>() == TypeId::of::<f32>() {
-        // SAFETY: as in `as_f32`; uniqueness is inherited from the input.
-        Some(unsafe { &mut *(x as *mut [T] as *mut [f32]) })
-    } else {
-        None
-    }
-}
-
-/// Reinterprets a generic `MR×NR` accumulator tile as `f32` when `T` is.
-#[inline(always)]
-pub(crate) fn acc_as_f32_mut<T: 'static>(acc: &mut [[T; NR]; MR]) -> Option<&mut [[f32; NR]; MR]> {
-    if TypeId::of::<T>() == TypeId::of::<f32>() {
-        // SAFETY: the TypeId check proves T == f32; the array layout is
-        // unchanged, so this is a no-op reinterpretation.
-        Some(unsafe { &mut *(acc as *mut [[T; NR]; MR] as *mut [[f32; NR]; MR]) })
     } else {
         None
     }
@@ -673,43 +574,6 @@ mod tests {
         assert!(acc_as_f64_mut(&mut acc).is_some());
         let mut acc32 = [[0.0f32; NR]; MR];
         assert!(acc_as_f64_mut(&mut acc32).is_none());
-
-        // The f32 guards mirror the f64 ones exactly.
-        assert!(as_f32(&ys).is_some());
-        assert!(as_f32(&xs).is_none());
-        let mut ws = [3.0f32];
-        assert!(as_f32_mut(&mut ws).is_some());
-        assert!(acc_as_f32_mut(&mut acc32).is_some());
-        assert!(acc_as_f32_mut(&mut acc).is_none());
-    }
-
-    fn pseudo32(len: usize, seed: u64) -> Vec<f32> {
-        pseudo(len, seed).into_iter().map(|v| v as f32).collect()
-    }
-
-    #[test]
-    fn dot_f32_within_screen_envelope_of_exact_f64() {
-        // The f32 kernels promise tolerance, not bit-identity: every kernel's
-        // f32 dot must land inside the screen envelope around the exact (f64)
-        // product of the *rounded* operands' originals.
-        for len in [0usize, 1, 3, 7, 8, 16, 31, 64, 257] {
-            let x64 = pseudo(len, 61);
-            let y64 = pseudo(len, 67);
-            let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();
-            let y32: Vec<f32> = y64.iter().map(|&v| v as f32).collect();
-            let exact = Kernel::scalar().dot(&x64, &y64);
-            let unorm = Kernel::scalar().dot(&x64, &x64).sqrt();
-            let inorm = Kernel::scalar().dot(&y64, &y64).sqrt();
-            let env = crate::f32_screen_envelope(len, unorm, inorm);
-            for k in all_kernels() {
-                let got = k.dot_f32(&x32, &y32) as f64;
-                assert!(
-                    (got - exact).abs() <= env,
-                    "{} len {len}: |{got} - {exact}| > {env}",
-                    k.name()
-                );
-            }
-        }
     }
 
     #[test]
@@ -752,50 +616,5 @@ mod tests {
     fn dot_i8_rejects_lengths_past_the_overflow_cap() {
         let too_long = vec![1i8; crate::quant::I8_DOT_MAX_LEN + 1];
         let _ = Kernel::scalar().dot_i8(&too_long, &too_long);
-    }
-
-    #[test]
-    fn suffix_sumsq_f32_matches_scalar_within_tolerance() {
-        for len in [0usize, 1, 3, 8, 9, 50, 130] {
-            let x = pseudo32(len, 71);
-            let mut want = vec![0.0f32; len + 1];
-            Kernel::scalar().suffix_sumsq_f32(&x, &mut want);
-            for k in all_kernels() {
-                let mut got = vec![0.0f32; len + 1];
-                k.suffix_sumsq_f32(&x, &mut got);
-                for (j, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert!(
-                        (g - w).abs() <= 1e-4 * (1.0 + w.abs()),
-                        "{} len {len} j {j}: {g} vs {w}",
-                        k.name()
-                    );
-                }
-                assert_eq!(got[len], 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn micro_4x8_f32_matches_scalar_within_tolerance() {
-        for depth in [0usize, 1, 2, 7, 64, 256] {
-            let a = pseudo32(depth * MR, 81);
-            let b = pseudo32(depth * NR, 83);
-            let mut want = [[0.25f32; NR]; MR];
-            Kernel::scalar().micro_4x8_f32(&a, &b, &mut want);
-            for k in all_kernels() {
-                let mut got = [[0.25f32; NR]; MR];
-                k.micro_4x8_f32(&a, &b, &mut got);
-                for i in 0..MR {
-                    for j in 0..NR {
-                        let (g, w) = (got[i][j], want[i][j]);
-                        assert!(
-                            (g - w).abs() <= 1e-3 * (1.0 + w.abs()),
-                            "{} depth {depth} ({i},{j}): {g} vs {w}",
-                            k.name()
-                        );
-                    }
-                }
-            }
-        }
     }
 }

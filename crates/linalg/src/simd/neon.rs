@@ -144,126 +144,6 @@ unsafe fn suffix_sumsq_inner(x: &[f64], out: &mut [f64]) {
 }
 
 /// Safe wrapper; soundness per the module-level contract.
-pub(super) fn dot_f32(x: &[f32], y: &[f32]) -> f32 {
-    debug_assert_eq!(x.len(), y.len());
-    // SAFETY: as for `dot`.
-    unsafe { dot_f32_inner(x, y) }
-}
-
-/// Single-precision screen dot: two 4-lane accumulators, eight elements per
-/// step. No bit-identity promise (see [`super`]'s f32 section) — consumers
-/// widen by the screen envelope.
-// SAFETY contract: NEON is baseline on aarch64, so the caller's only
-// obligation is the safe wrapper's length invariant — every pointer
-// read and write below is in bounds exactly when it holds.
-#[target_feature(enable = "neon")]
-unsafe fn dot_f32_inner(x: &[f32], y: &[f32]) -> f32 {
-    let n = x.len();
-    let chunks = n / 8;
-    let xp = x.as_ptr();
-    let yp = y.as_ptr();
-    let mut acc0 = vdupq_n_f32(0.0);
-    let mut acc1 = vdupq_n_f32(0.0);
-    for i in 0..chunks {
-        acc0 = vfmaq_f32(acc0, vld1q_f32(xp.add(8 * i)), vld1q_f32(yp.add(8 * i)));
-        acc1 = vfmaq_f32(
-            acc1,
-            vld1q_f32(xp.add(8 * i + 4)),
-            vld1q_f32(yp.add(8 * i + 4)),
-        );
-    }
-    let mut tail = 0.0f32;
-    for j in 8 * chunks..n {
-        tail = (*xp.add(j)).mul_add(*yp.add(j), tail);
-    }
-    (vaddvq_f32(acc0) + vaddvq_f32(acc1)) + tail
-}
-
-/// Safe wrapper; soundness per the module-level contract.
-pub(super) fn suffix_sumsq_f32(x: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(out.len(), x.len() + 1);
-    // SAFETY: as for `dot`.
-    unsafe { suffix_sumsq_f32_inner(x, out) }
-}
-
-/// Backward f32 suffix scan, four squares per vector step (same carry-chain
-/// structure and tolerance caveats as the f64 scan).
-// SAFETY contract: NEON is baseline on aarch64, so the caller's only
-// obligation is the safe wrapper's length invariant — every pointer
-// read and write below is in bounds exactly when it holds.
-#[target_feature(enable = "neon")]
-unsafe fn suffix_sumsq_f32_inner(x: &[f32], out: &mut [f32]) {
-    let n = x.len();
-    let op = out.as_mut_ptr();
-    *op.add(n) = 0.0;
-    let rem = n % 4;
-    let mut carry = 0.0f32;
-    let xp = x.as_ptr();
-    let mut block = n;
-    while block > rem {
-        block -= 4;
-        let v = vld1q_f32(xp.add(block));
-        let sq = vmulq_f32(v, v);
-        let t3 = vgetq_lane_f32(sq, 3) + carry;
-        let t2 = vgetq_lane_f32(sq, 2) + t3;
-        let t1 = vgetq_lane_f32(sq, 1) + t2;
-        let t0 = vgetq_lane_f32(sq, 0) + t1;
-        *op.add(block) = t0;
-        *op.add(block + 1) = t1;
-        *op.add(block + 2) = t2;
-        *op.add(block + 3) = t3;
-        carry = t0;
-    }
-    let mut j = rem;
-    while j > 0 {
-        j -= 1;
-        carry = (*xp.add(j)).mul_add(*xp.add(j), carry);
-        *op.add(j) = carry;
-    }
-}
-
-/// Safe wrapper; soundness per the module-level contract.
-pub(super) fn micro_4x8_f32(a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    debug_assert_eq!(a_panel.len() / MR, b_panel.len() / NR);
-    // SAFETY: as for `dot`.
-    unsafe { micro_4x8_f32_inner(a_panel, b_panel, acc) }
-}
-
-/// The f32 `4×8` tile as eight 4-lane accumulators (4 rows × 2 quads); each
-/// `(i, j)` lane is one sequential FMA chain over the packed depth.
-// SAFETY contract: NEON is baseline on aarch64, so the caller's only
-// obligation is the safe wrapper's length invariant — every pointer
-// read and write below is in bounds exactly when it holds.
-#[target_feature(enable = "neon")]
-unsafe fn micro_4x8_f32_inner(a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    let depth = a_panel.len() / MR;
-    let ap = a_panel.as_ptr();
-    let bp = b_panel.as_ptr();
-
-    let mut c: [[float32x4_t; 2]; MR] = [[vdupq_n_f32(0.0); 2]; MR];
-    for (i, row) in c.iter_mut().enumerate() {
-        row[0] = vld1q_f32(acc[i].as_ptr());
-        row[1] = vld1q_f32(acc[i].as_ptr().add(4));
-    }
-
-    for p in 0..depth {
-        let b0 = vld1q_f32(bp.add(p * NR));
-        let b1 = vld1q_f32(bp.add(p * NR + 4));
-        let arow = ap.add(p * MR);
-        for (i, row) in c.iter_mut().enumerate() {
-            let ai = vdupq_n_f32(*arow.add(i));
-            row[0] = vfmaq_f32(row[0], ai, b0);
-            row[1] = vfmaq_f32(row[1], ai, b1);
-        }
-    }
-
-    for (i, row) in c.iter().enumerate() {
-        vst1q_f32(acc[i].as_mut_ptr(), row[0]);
-        vst1q_f32(acc[i].as_mut_ptr().add(4), row[1]);
-    }
-}
-
-/// Safe wrapper; soundness per the module-level contract.
 pub(super) fn dot_i8(x: &[i8], y: &[i8]) -> i32 {
     debug_assert_eq!(x.len(), y.len());
     // SAFETY: as for `dot`.

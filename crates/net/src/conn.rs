@@ -181,7 +181,18 @@ impl Conn {
             }
             return progress;
         }
-        if !draining && self.inflight.len() < MAX_PIPELINE {
+        if draining {
+            return progress;
+        }
+        // Requests pipelined past the cap wait complete in `buf`: parse them
+        // as soon as a slot frees, not only when the peer sends more bytes
+        // (a client that has finished sending never would).
+        if self.inflight.len() < MAX_PIPELINE && !self.reading_partial && !self.buf.is_empty() {
+            let before = self.inflight.len();
+            self.parse_available(router, limits);
+            progress |= self.inflight.len() != before;
+        }
+        if !self.closing && self.inflight.len() < MAX_PIPELINE {
             progress |= self.fill(router, limits, deadlines, now);
         }
         progress

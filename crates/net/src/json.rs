@@ -759,7 +759,7 @@ mod tests {
                 scores: vec![0.1 + 0.2, 1.0 / 3.0],
             }],
             backend: "maximus".into(),
-            precision: mips_core::precision::Precision::F32Rescore,
+            precision: mips_core::precision::Precision::I8Rescore,
             planned: true,
             epoch: 3,
             serve_seconds: 0.25,
@@ -769,7 +769,7 @@ mod tests {
         assert_eq!(doc.get("backend").and_then(Json::as_str), Some("maximus"));
         assert_eq!(
             doc.get("precision").and_then(Json::as_str),
-            Some("f32-rescore")
+            Some("i8-rescore")
         );
         assert_eq!(doc.get("epoch").and_then(Json::as_u64), Some(3));
         let results = doc.get("results").and_then(Json::as_arr).unwrap();

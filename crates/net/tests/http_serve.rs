@@ -212,80 +212,11 @@ fn vector_queries_serve_both_encodings_bit_identically() {
 }
 
 #[test]
-fn forced_f32_rescore_is_bit_identical_and_announced_on_the_wire() {
-    // A mixed-precision stack must change how answers are computed — f32
-    // screen, exact f64 rescore — without changing a single reported bit,
-    // and both the response and /metrics must announce the mode.
-    let model = model(80, 100, 11);
-    let f64_engine = engine(&model);
-    let f32_engine = Arc::new(
-        EngineBuilder::new()
-            .model(Arc::clone(&model))
-            .with_default_backends()
-            .precision(mips_core::precision::Precision::F32Rescore)
-            .build()
-            .unwrap(),
-    );
-    let server = Arc::new(
-        ServerBuilder::new()
-            .engine(Arc::clone(&f32_engine))
-            .shards(2)
-            .workers(2)
-            .build()
-            .unwrap(),
-    );
-    let http = HttpServerBuilder::new()
-        .server(Arc::clone(&server))
-        .build()
-        .unwrap();
-    let mut client = Client::connect(http.local_addr()).unwrap();
-
-    let wire = "{\"k\": 5, \"users\": [3, 0, 9, 3]}";
-    let response = client.request("POST", "/query", Some(wire)).unwrap();
-    assert_eq!(response.status, 200, "{}", response.body);
-    let doc = json::parse(&response.body).unwrap();
-    assert_eq!(
-        doc.get("precision").and_then(Json::as_str),
-        Some("f32-rescore"),
-        "the response must carry the serving plan's precision"
-    );
-    // Bit-identity against the pure-f64 engine, across the wire.
-    let expected = f64_engine
-        .execute(&QueryRequest::top_k(5).users(vec![3, 0, 9, 3]))
-        .unwrap();
-    let got = wire_results(&response.body);
-    for (row, want) in got.iter().zip(&expected.results) {
-        assert_eq!(row.0, want.items);
-        let want_bits: Vec<u64> = want.scores.iter().map(|s| s.to_bits()).collect();
-        assert_eq!(row.1, want_bits, "f32-rescore must not move a single bit");
-    }
-
-    let metrics = client.request("GET", "/metrics", None).unwrap();
-    let doc = json::parse(&metrics.body).unwrap();
-    let server_side = doc.get("server").expect("server section");
-    assert_eq!(
-        server_side.get("precision").and_then(Json::as_str),
-        Some("f32-rescore")
-    );
-    let f32_batches: u64 = server_side
-        .get("shards")
-        .and_then(Json::as_arr)
-        .unwrap()
-        .iter()
-        .map(|s| s.get("f32_batches").and_then(Json::as_u64).unwrap())
-        .sum();
-    assert!(
-        f32_batches >= 1,
-        "served batches must be attributed to the f32 screen path"
-    );
-    http.shutdown().unwrap();
-}
-
-#[test]
 fn forced_i8_rescore_is_bit_identical_and_announced_on_the_wire() {
-    // The int8 tier under the f32 one: integer screen, exact f64 rescore,
-    // same bit-identity contract, and /metrics must attribute batches and
-    // screen candidate/survivor counts to the i8 lanes. The engine is
+    // A screened stack must change how answers are computed — integer
+    // screen, exact f64 rescore — without changing a single reported bit,
+    // and /metrics must attribute batches and screen candidate/survivor
+    // counts to the i8 lanes. The engine is
     // pinned to BMM — with the full registry, OPTIMUS may legitimately
     // hand a forced-i8 plan to a screenless backend (which serves
     // f64-direct), and this test is about the i8 lanes, not the planner.
@@ -366,13 +297,6 @@ fn forced_i8_rescore_is_bit_identical_and_announced_on_the_wire() {
         "the i8 screen must report evaluated scores"
     );
     assert!(survivors <= candidates);
-    assert_eq!(
-        server_side
-            .get("screen_candidates_f32")
-            .and_then(Json::as_u64),
-        Some(0),
-        "no f32 screen work under a forced i8 engine"
-    );
     http.shutdown().unwrap();
 }
 
@@ -503,6 +427,38 @@ fn pipelined_requests_come_back_in_order() {
             got[0].0, expected.results[0].items,
             "request {i} out of order"
         );
+    }
+    http.shutdown().unwrap();
+}
+
+#[test]
+fn pipelined_burst_past_the_pipeline_cap_is_answered_in_full() {
+    // More requests in one write than a connection keeps in flight: the
+    // ones buffered past the cap must be parsed as slots free up, without
+    // waiting for bytes the client will never send. A short idle deadline
+    // turns a stall into a prompt close instead of a long hang.
+    let server = Arc::new(
+        ServerBuilder::new()
+            .engine(engine(&model(40, 50, 3)))
+            .workers(1)
+            .build()
+            .unwrap(),
+    );
+    let http = HttpServerBuilder::new()
+        .server(server)
+        .idle_timeout(Duration::from_millis(500))
+        .build()
+        .unwrap();
+    let mut client = Client::connect(http.local_addr()).unwrap();
+    let burst = 100;
+    client
+        .send_raw(&b"GET /healthz HTTP/1.1\r\n\r\n".repeat(burst))
+        .unwrap();
+    for i in 0..burst {
+        let response = client
+            .recv()
+            .unwrap_or_else(|e| panic!("response {i} of {burst}: {e}"));
+        assert_eq!(response.status, 200, "request {i}");
     }
     http.shutdown().unwrap();
 }

@@ -17,7 +17,7 @@
 //! accumulator sums a different subset in a different order, so its floats
 //! can differ from the canonical chain in the last ulps. [`InvertedIndex`]
 //! therefore runs a *screen-then-rescore* pipeline, the same discipline the
-//! mixed-precision f32 screen uses:
+//! int8 screen of the scan backends uses:
 //!
 //! 1. **Accumulate** approximate scores over the postings (plus dense
 //!    column panels for the hybrid head — columns denser than
@@ -100,9 +100,8 @@ impl SparseConfig {
 /// separately). Both the canonical chain (`f` terms) and the accumulation
 /// chain (≤ `f` terms, any order) carry `γ_f ≈ f·2⁻⁵³` relative error
 /// against the exact sum, so `2γ_f` separates them; the constants below
-/// double that again and pad the norm rounding, mirroring
-/// [`mips_linalg::f32_screen_envelope_parts`]'s conservative style. The
-/// `abs` part covers subnormal underflow in either chain.
+/// double that again and pad the norm rounding. The `abs` part covers
+/// subnormal underflow in either chain.
 pub fn sparse_accum_envelope_parts(num_factors: usize) -> (f64, f64) {
     let f = num_factors as f64;
     let rel = (4.0 * f + 16.0) * f64::EPSILON * 1.0001;

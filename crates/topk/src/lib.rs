@@ -14,14 +14,10 @@
 //! stream out of the blocked multiply straight into the heaps, so the dense
 //! `batch × n` score buffer of the two-stage pipeline never exists.
 //!
-//! [`screen`] is the mixed-precision variant of that path: the panels stream
-//! in f32 with a conservative rounding envelope, and only the surviving
-//! candidates are rescored in f64 — bit-identical output, roughly half the
-//! scan bandwidth.
-//!
-//! [`screen_i8`] is the tier below: the scan runs on symmetric int8 codes
-//! with exact integer dots and a quantization envelope, cutting the scan
-//! bytes 8× against f64 — still bit-identical output after the f64 rescore.
+//! [`screen_i8`] is the quantized variant of that path: the scan runs on
+//! symmetric int8 codes with exact integer dots and a quantization
+//! envelope, and only the surviving candidates are rescored in f64 —
+//! bit-identical output, an 8× smaller scan than f64.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,16 +25,14 @@
 pub mod fused;
 pub mod heap;
 pub mod list;
-pub mod screen;
 pub mod screen_i8;
 pub mod select;
 
 pub use fused::{gemm_nt_topk, gemm_nt_topk_with, stream_topk_into_heaps, ColumnIds};
 pub use heap::TopKHeap;
 pub use list::TopKList;
-pub use screen::{screen_topk_into_heaps, screen_topk_into_heaps_with, ScreenScratch, ScreenStats};
 pub use screen_i8::{
     screen_i8_topk_into_heaps, screen_i8_topk_into_heaps_with, QuantItems, QuantUsers,
-    ScreenI8Scratch,
+    ScreenI8Scratch, ScreenStats,
 };
 pub use select::{row_topk, rows_topk, topk_all_rows};

@@ -1,8 +1,9 @@
 //! Int8 screen-then-rescore: exact integer scan, exact f64 top-k.
 //!
-//! The tier below [`crate::screen`]: where the f32 screen halves the scan
-//! bytes, the int8 screen cuts them 8× against f64 (and 4× against f32) and
-//! swaps the FMA pipes for the wider integer multiply-add pipes:
+//! The fused f64 path ([`crate::fused`]) already keeps score panels
+//! cache-resident; this module cuts the scan bytes 8× against f64 and swaps
+//! the FMA pipes for the wider integer multiply-add pipes, at the price of
+//! a second (tiny) pass:
 //!
 //! 1. **Screen** — for every (user, item) pair compute the integer dot
 //!    `D = q(u)·q(i)` of the symmetric int8 codes
@@ -12,24 +13,41 @@
 //!    `[ŝ − env, ŝ + env]` with
 //!    `env = a_u·(1/s_i) + b_u·‖i‖₁`, the per-pair envelope from
 //!    [`mips_linalg::i8_screen_envelope_parts`] that bounds the total
-//!    quantization error against the exact score. A per-user bound heap
-//!    retains the `k` largest *lower* bounds; any item whose *upper* bound
-//!    reaches that heap's threshold is collected as a candidate.
+//!    quantization error against the exact score `s` (so `s` is always
+//!    inside the interval). A per-user bound heap retains the `k` largest
+//!    *lower* bounds; any item whose *upper* bound reaches that heap's
+//!    threshold is collected as a candidate.
 //! 2. **Rescore** — recompute each surviving candidate's score in f64 with
 //!    the GEMM per-element reduction
 //!    ([`mips_linalg::simd::Kernel::dot_seq4`]) and offer it to the
 //!    caller's heap.
 //!
-//! The no-loss argument is the same bound-heap induction as the f32
-//! screen's (see [`crate::screen`] module docs); only the envelope changes.
-//! One property is *stronger* here: the integer dot is exact in `i32`
-//! under every accumulation order (guarded by
-//! [`mips_linalg::I8_DOT_MAX_LEN`]), so every kernel set screens with
-//! bit-identical scores and collects the identical candidate set — the
-//! envelope covers quantization only, not kernel-dependent rounding. And
-//! because every reported score comes from the f64 rescore with the same
-//! reduction order as the pure-f64 GEMM path, the i8 mode's results are
-//! **bit-identical** to f64-direct: same scores, same ids, same tie-breaks.
+//! ## Why no true top-k member can be lost
+//!
+//! Let `L̂` be the final threshold of a user's bound heap. Each of its `k`
+//! retained entries is a lower bound of some column's exact score, so at
+//! least `k` columns have exact score `≥ L̂` — hence the true k-th exact
+//! score is `≥ L̂`. Every true top-k column `c` has exact score
+//! `s_c ≥ kth ≥ L̂`, and its upper bound `ŝ_c + env ≥ s_c ≥ L̂`, so `c` was
+//! collected (thresholds only grow during the scan, so the test it faced
+//! was no stricter than `L̂`) and survives the final `hi ≥ L̂` filter. Ties
+//! (`s_c` equal to the k-th score, decided by the smaller-id rule) are
+//! safe for the same reason: the comparison uses `≥`, never `>`.
+//!
+//! Entries already present in the caller's heaps are treated as exact
+//! scores from a previous phase: they seed the bound heap (an exact score
+//! is its own lower bound), so the screen is exactly as selective as the
+//! f64 path would have been with the same preloaded state.
+//!
+//! The integer dot is exact in `i32` under every accumulation order
+//! (guarded by [`mips_linalg::I8_DOT_MAX_LEN`]), so every kernel set
+//! screens with bit-identical scores and collects the identical candidate
+//! set — the envelope covers quantization only, not kernel-dependent
+//! rounding. And because every reported score comes from the f64 rescore
+//! with the same reduction order as the pure-f64 GEMM path, the i8 mode's
+//! results are **bit-identical** to f64-direct: same scores, same ids,
+//! same tie-breaks. The `precision_identity_i8` suite in `mips-core`
+//! asserts this end to end.
 //!
 //! Callers must gate on their mirror's usability
 //! (`mips_data::MirrorI8::is_usable`): the scan assumes every scale and L1
@@ -39,6 +57,15 @@ use crate::fused::ColumnIds;
 use crate::heap::TopKHeap;
 use mips_linalg::simd::{self, Kernel};
 use mips_linalg::{i8_screen_envelope_parts, RowBlock};
+
+/// Counters describing how selective one screen pass was.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScreenStats {
+    /// Scores screened in int8 (`rows × cols`).
+    pub screened: u64,
+    /// Candidates surviving to the exact rescore.
+    pub rescored: u64,
+}
 
 /// Reusable buffers for [`screen_i8_topk_into_heaps_with`]: the per-user
 /// bound heaps and candidate lists. Own one per query loop / worker thread.
@@ -108,7 +135,7 @@ pub fn screen_i8_topk_into_heaps(
     heaps: &mut [TopKHeap],
     ids: ColumnIds<'_>,
     scratch: &mut ScreenI8Scratch,
-) -> crate::screen::ScreenStats {
+) -> ScreenStats {
     screen_i8_topk_into_heaps_with(simd::active(), a64, b64, a_q, b_q, heaps, ids, scratch)
 }
 
@@ -124,7 +151,7 @@ pub fn screen_i8_topk_into_heaps_with(
     heaps: &mut [TopKHeap],
     ids: ColumnIds<'_>,
     scratch: &mut ScreenI8Scratch,
-) -> crate::screen::ScreenStats {
+) -> ScreenStats {
     let (m, n, f) = (a64.rows(), b64.rows(), a64.cols());
     assert_eq!(heaps.len(), m, "screen_i8_topk: one heap per query row");
     assert_eq!(a_q.codes.len(), m * f, "screen_i8_topk: user code shape");
@@ -145,7 +172,7 @@ pub fn screen_i8_topk_into_heaps_with(
     }
 
     // Per-row bound heaps: capacity k, seeded with the caller's existing
-    // (exact) entries — see the `crate::screen` module docs.
+    // (exact) entries — see the module docs.
     scratch.bound_heaps.resize_with(m, || TopKHeap::new(0));
     scratch.candidates.resize_with(m, Vec::new);
     for (i, heap) in heaps.iter().enumerate() {
@@ -241,7 +268,7 @@ pub fn screen_i8_topk_into_heaps_with(
         }
     }
 
-    crate::screen::ScreenStats {
+    ScreenStats {
         screened: (m * n) as u64,
         rescored,
     }
@@ -312,7 +339,7 @@ mod tests {
         b: &Matrix<f64>,
         k: usize,
         ids: ColumnIds<'_>,
-    ) -> (Vec<TopKHeap>, crate::screen::ScreenStats) {
+    ) -> (Vec<TopKHeap>, ScreenStats) {
         let aq = quantize(a);
         let bq = quantize(b);
         let mut heaps: Vec<TopKHeap> = (0..a.rows()).map(|_| TopKHeap::new(k)).collect();
@@ -474,9 +501,9 @@ mod tests {
 
     #[test]
     fn candidate_sets_are_identical_across_kernel_sets() {
-        // Stronger than the f32 screen can promise: the integer screen
-        // scores are kernel-invariant, so even the *intermediate* candidate
-        // counts agree between the dispatched and scalar kernels.
+        // The integer screen scores are kernel-invariant, so even the
+        // *intermediate* candidate counts agree between the dispatched and
+        // scalar kernels.
         let a = random_matrix(4, 19, 41);
         let b = random_matrix(60, 19, 42);
         let aq = quantize(&a);

@@ -140,6 +140,7 @@ fn main() {
             block_size: 64,
             ..MaximusConfig::default()
         },
+        ScanTier::F64,
     );
     let recs = maximus.query_all(10);
     check_all_topk(&model, 10, &recs, 1e-9).expect("MAXIMUS is exact");

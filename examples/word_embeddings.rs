@@ -68,7 +68,7 @@ fn main() {
     // Embeddings arrive incrementally in practice; serve one unseen vector
     // through MAXIMUS's dynamic-user path and cross-check against brute
     // force.
-    let maximus = MaximusIndex::build(Arc::clone(&model), &MaximusConfig::default());
+    let maximus = MaximusIndex::build(Arc::clone(&model), &MaximusConfig::default(), ScanTier::F64);
     let novel: Vec<f64> = (0..model.num_factors())
         .map(|j| ((j as f64) * 0.37).sin())
         .collect();
@@ -81,7 +81,7 @@ fn main() {
         )
         .unwrap(),
     );
-    let slow = BmmSolver::build(probe).query_all(5);
+    let slow = BmmSolver::build(&ModelView::full(&probe), ScanTier::F64).query_all(5);
     assert_eq!(fast.items, slow[0].items);
     println!("\nunseen query served exactly via the dynamic-user path (§III-E)");
 }

@@ -89,17 +89,18 @@ pub mod prelude {
     pub use mips_core::maximus::{MaximusConfig, MaximusIndex};
     pub use mips_core::optimus::{Optimus, OptimusConfig, OptimusOutcome};
     pub use mips_core::parallel::par_query_all;
+    pub use mips_core::precision::ScanTier;
     pub use mips_core::serve::{
         LatencySnapshot, MipsServer, ResponseHandle, ServeOptions, ServerBuilder, ServerMetrics,
         ShardMetrics,
     };
-    pub use mips_core::solver::{MipsSolver, Strategy};
+    pub use mips_core::solver::MipsSolver;
     pub use mips_core::verify::{check_all_topk, check_user_topk};
     pub use mips_core::{BmmSolver, FexiproSolver, LempSolver, SparseSolver};
     pub use mips_data::catalog::{reference_models, ModelSpec};
     pub use mips_data::sparse::{SparseVec, SparsityStats};
     pub use mips_data::synth::{synth_model, SynthConfig};
-    pub use mips_data::{MfModel, ModelError, RatingsData};
+    pub use mips_data::{MfModel, ModelError, ModelView, RatingsData};
     pub use mips_fexipro::FexiproConfig;
     pub use mips_lemp::LempConfig;
     #[cfg(feature = "net")]

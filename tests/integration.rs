@@ -38,20 +38,6 @@ fn engine_for(model: &Arc<MfModel>) -> Engine {
         .expect("engine assembles")
 }
 
-fn strategies() -> Vec<Strategy> {
-    vec![
-        Strategy::Bmm,
-        Strategy::Maximus(MaximusConfig {
-            num_clusters: 4,
-            block_size: 32,
-            ..MaximusConfig::default()
-        }),
-        Strategy::Lemp(LempConfig::default()),
-        Strategy::FexiproSi,
-        Strategy::FexiproSir,
-    ]
-}
-
 #[test]
 fn all_backends_exact_on_all_dataset_families() {
     for model in small_catalog() {
@@ -163,15 +149,19 @@ fn engine_threads_match_sequential_everywhere() {
 }
 
 #[test]
-#[allow(deprecated)] // the compat path stays covered until it is removed
 fn legacy_strategy_and_par_query_all_still_work() {
-    // The Strategy enum remains as a compatibility shim over registry keys.
+    // Direct solver access through the registry factories: the free
+    // `par_query_all` must agree with each solver's own `query_all`.
     let model = small_catalog().remove(2);
-    for strategy in strategies() {
-        let solver = strategy.build(&model);
+    let engine = engine_for(&model);
+    assert_eq!(engine.registry().len(), 5);
+    for factory in engine.registry().factories() {
+        let solver = factory
+            .build(&ModelView::full(&model))
+            .expect("backend builds");
         let seq = solver.query_all(4);
         let par = par_query_all(solver.as_ref(), 4, 4);
-        assert_eq!(seq, par, "{} parallel mismatch", strategy.name());
+        assert_eq!(seq, par, "{} parallel mismatch", factory.key());
     }
 }
 
