@@ -1,7 +1,8 @@
 //! Epoch-versioned engine state: the mechanism behind hot model swap.
 //!
 //! Everything derived from a model — built solver indexes, cached
-//! [`PreparedPlan`]s — lives inside one [`ModelEpoch`]. The engine holds the
+//! [`PreparedPlan`]s, for the whole model and for shard ranges alike —
+//! lives inside one [`ModelEpoch`]. The engine holds the
 //! current epoch behind an [`ArcCell`] and replaces the whole epoch
 //! atomically on [`swap_model`](super::Engine::swap_model): a request
 //! snapshots the epoch `Arc` once on entry and runs against that snapshot
@@ -16,6 +17,7 @@ use crate::solver::MipsSolver;
 use crate::sync::{Arc, Mutex, PoisonError, RwLock};
 use mips_data::MfModel;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// One lazily-filled cache slot. The outer map lock is held only long
 /// enough to fetch the cell; expensive work (index construction, planning)
@@ -47,11 +49,12 @@ pub fn get_or_build<T: Clone, E>(
     Ok(slot.get_or_insert(built).clone())
 }
 
-/// A shard's identity inside one epoch: its contiguous user bounds. Two
-/// servers (or two topologies of one server) with identical bounds share
-/// the epoch's shard-local state, exactly like the global tier is shared
-/// across callers.
-pub(crate) type ShardKey = (usize, usize);
+/// A contiguous user range's identity inside one epoch: its bounds. The
+/// whole model is the range `(0, num_users)`; two servers (or two
+/// topologies of one server) with identical shard bounds share the epoch's
+/// state for that range, exactly like whole-model state is shared across
+/// callers.
+pub(crate) type UserBounds = (usize, usize);
 
 /// A keyed map of lazily-filled cache cells (one tier of an epoch's
 /// derived state).
@@ -63,39 +66,31 @@ pub(crate) type CacheTier<K, T> = Mutex<HashMap<K, CacheCell<T>>>;
 /// `id` therefore identifies a model generation across the whole serving
 /// stack (responses, metrics, the micro-batcher's coalescing key).
 ///
-/// Derived state comes in two tiers, both epoch-scoped and reclaimed
-/// together by refcount when the last in-flight request drops the epoch:
-///
-/// * the **global tier** (`solvers`, `plans`) — whole-model indexes and
-///   per-`k` plans, shared by every shard under
-///   [`IndexScope::Global`](super::IndexScope::Global);
-/// * the **per-shard tier** (`shard_solvers`, `shard_plans`) — solvers
-///   built over a user-range [`ModelView`](mips_data::ModelView) keyed by
-///   `(shard_bounds, backend)`, and per-shard planning decisions keyed by
-///   `(shard_bounds, k)` (with the scope's auto flag), used by
-///   `PerShard`/`Auto` scopes. Keying by bounds rather than by shard index
-///   means a swap that re-chunks the topology can never alias stale state,
-///   and same-bounds topologies (including rebuilt ones) share it.
+/// Derived state lives in two tiers, both keyed by the user bounds it was
+/// built over and both reclaimed by refcount when the last in-flight
+/// request drops the epoch. Whole-model state is the full range
+/// `(0, num_users)`; a shard under
+/// [`IndexScope::PerShard`](super::IndexScope::PerShard) or `Auto` keys
+/// its own bounds. Keying by bounds rather than by shard index means a
+/// swap that re-chunks the topology can never alias stale state, and
+/// same-bounds topologies (including rebuilt ones) share it.
 pub(crate) struct ModelEpoch {
     /// The strictly increasing generation number (the builder starts at 0).
     pub(crate) id: u64,
     /// The model this epoch serves.
     pub(crate) model: Arc<MfModel>,
-    /// Built solvers, keyed by registry key — derived from `model`, so the
-    /// cache lives and dies with the epoch.
-    pub(crate) solvers: CacheTier<String, Arc<dyn MipsSolver>>,
-    /// Cached planning decisions per `k` — likewise epoch-scoped, because a
-    /// plan pins the model and solver it was sampled on.
-    pub(crate) plans: CacheTier<usize, Arc<PreparedPlan>>,
-    /// Shard-local solvers, keyed by `(shard bounds, backend key)`. The
-    /// stored solver speaks global user ids (a
+    /// Built solvers, keyed by `(bounds, cache key)` where the cache key is
+    /// the registry key, `"+i8"`-suffixed for a screen build. `None` records
+    /// that the backend has no screen path. A proper sub-range's solver
+    /// speaks global user ids (a
     /// [`ShardScopedSolver`](super::scope::ShardScopedSolver) over the
     /// view-built index).
-    pub(crate) shard_solvers: CacheTier<(ShardKey, String), Arc<dyn MipsSolver>>,
-    /// Shard-local plans, keyed by `(shard bounds, k, auto)` — the `auto`
-    /// flag separates `PerShard` decisions from `Auto` ones so two servers
+    pub(crate) solvers: CacheTier<(UserBounds, String), Option<Arc<dyn MipsSolver>>>,
+    /// Planning decisions, keyed by `(bounds, k, auto)`: a plan pins the
+    /// model and solvers it was sampled on. The `auto` flag separates a
+    /// shard's `PerShard` decision from its `Auto` one, so two servers
     /// with different scopes fronting one engine never alias plans.
-    pub(crate) shard_plans: CacheTier<(ShardKey, usize, bool), Arc<PreparedPlan>>,
+    pub(crate) plans: CacheTier<(UserBounds, usize, bool), Arc<PreparedPlan>>,
 }
 
 impl ModelEpoch {
@@ -106,9 +101,12 @@ impl ModelEpoch {
             model,
             solvers: Mutex::new(HashMap::new()),
             plans: Mutex::new(HashMap::new()),
-            shard_solvers: Mutex::new(HashMap::new()),
-            shard_plans: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// The user range covering the whole model.
+    pub(crate) fn all_users(&self) -> Range<usize> {
+        0..self.model.num_users()
     }
 }
 
@@ -120,8 +118,8 @@ impl ModelEpoch {
 /// `RwLock` whose critical sections are a single refcount bump: readers
 /// clone the `Arc` under the read lock, writers replace it under the write
 /// lock. Readers never block each other, and a writer (one per model swap)
-/// holds the lock for nanoseconds — the cost model of `arc_swap`, minus
-/// the unsafe code.
+/// holds the lock for nanoseconds — `arc_swap`'s costs, minus the unsafe
+/// code.
 pub struct ArcCell<T> {
     inner: RwLock<Arc<T>>,
 }

@@ -65,7 +65,7 @@ pub use request::{
 };
 pub use scope::IndexScope;
 
-use crate::optimus::{Optimus, OptimusConfig};
+use crate::optimus::{Optimus, OptimusConfig, PlannedChoice};
 use crate::parallel::{par_query_range, par_query_subset};
 use crate::precision::Precision;
 use crate::solver::MipsSolver;
@@ -333,6 +333,12 @@ pub(crate) fn lock_recovering<T>(mutex: &Mutex<T>) -> crate::sync::MutexGuard<'_
         .unwrap_or_else(crate::sync::PoisonError::into_inner)
 }
 
+/// A plain build from the solver tier. Only screen builds cache `None`
+/// (no screen path); a failed plain build is an `Err`, never `None`.
+fn plain(built: Option<Arc<dyn MipsSolver>>) -> Arc<dyn MipsSolver> {
+    built.expect("plain builds always cache a solver")
+}
+
 /// Rejects malformed models — mismatched factor dimensions, or NaN and
 /// infinite factors — with a typed error.
 ///
@@ -475,29 +481,30 @@ impl Engine {
 
     /// [`Engine::solver`] pinned to one epoch snapshot.
     fn solver_on(&self, state: &ModelEpoch, key: &str) -> Result<Arc<dyn MipsSolver>, MipsError> {
-        self.cached_solver(state, None, key, false, &mut ShardBuildStats::default())
-            .map(|plain| plain.expect("every backend has a plain build"))
+        let users = state.all_users();
+        self.cached_solver(state, &users, key, false, &mut ShardBuildStats::default())
+            .map(plain)
     }
 
-    /// `key`'s solver on one epoch — its int8 screen build when `screen` is
-    /// set — cached in the epoch's solver tier under `"<key>"` or
-    /// `"<key>+i8"`. With `users` set, the solver is built over a
-    /// [`ModelView`] of that contiguous range, cached in the per-shard tier
-    /// under `(bounds, cache key)`, and speaks **global** user ids
-    /// restricted to the range; real construction work (a cache miss) is
-    /// then recorded into `stats` so the serving runtime can surface
-    /// per-shard build counts and cost.
+    /// `key`'s solver over the contiguous user range `users` on one epoch —
+    /// its int8 screen build when `screen` is set — cached in the epoch's
+    /// solver tier under `(bounds, "<key>")` or `(bounds, "<key>+i8")`.
     ///
-    /// `Ok(None)` when the backend has no screen path — determining that
-    /// is free (such factories return before building anything), so the
-    /// probe is repeated per call rather than cached. The build runs
-    /// outside the cache lock and installs compare-and-swap style (see
-    /// [`epoch::get_or_build`]), so a slow build never convoys concurrent
-    /// first-touch builders of other state.
+    /// A full range is the whole-model solver. A proper sub-range is built
+    /// over a [`ModelView`] of the range, speaks **global** user ids
+    /// restricted to it, and records real construction work (a cache miss)
+    /// into `stats`, so the serving runtime can surface per-shard build
+    /// counts and cost.
+    ///
+    /// `Ok(None)` when the backend has no screen path; the tier caches that
+    /// answer like a built solver. The build runs outside the cache lock
+    /// and installs compare-and-swap style (see [`epoch::get_or_build`]),
+    /// so a slow build never convoys concurrent first-touch builders of
+    /// other state.
     fn cached_solver(
         &self,
         state: &ModelEpoch,
-        users: Option<&Range<usize>>,
+        users: &Range<usize>,
         key: &str,
         screen: bool,
         stats: &mut ShardBuildStats,
@@ -512,72 +519,49 @@ impl Engine {
         } else {
             key.to_string()
         };
-        let cell = match users {
-            None => {
-                let mut map = lock_recovering(&state.solvers);
-                Arc::clone(map.entry(cache_key.clone()).or_default())
-            }
-            Some(users) => {
-                let mut map = lock_recovering(&state.shard_solvers);
-                Arc::clone(
-                    map.entry(((users.start, users.end), cache_key.clone()))
-                        .or_default(),
-                )
-            }
+        let cell = {
+            let mut map = lock_recovering(&state.solvers);
+            Arc::clone(
+                map.entry(((users.start, users.end), cache_key))
+                    .or_default(),
+            )
         };
-        // "No screen path" travels through `get_or_build` as a sentinel
-        // error so the cell stays unfilled and no half-state is cached.
-        match get_or_build(&cell, || {
+        get_or_build(&cell, || {
             let started = Instant::now();
-            let view = match users {
-                None => ModelView::full(&state.model),
-                Some(users) => ModelView::of_range(&state.model, users.clone()),
-            };
+            let view = ModelView::of_range(&state.model, users.clone());
             let built = if screen {
-                factory.build_screen(&view)
+                factory.build_screen(&view).transpose()?
             } else {
-                Some(factory.build(&view))
+                Some(factory.build(&view)?)
             };
             let Some(built) = built else {
-                return Err(MipsError::UnknownBackend {
-                    key: cache_key.clone(),
-                });
+                return Ok(None);
             };
-            let solver: Arc<dyn MipsSolver> = match users {
-                None => Arc::from(built?),
-                Some(users) => {
-                    let solver = Arc::new(ShardScopedSolver::new(built?, users.start));
-                    stats.builds += 1;
-                    stats.build_ns += started.elapsed().as_nanos() as u64;
-                    solver
-                }
-            };
-            Ok(solver)
-        }) {
-            Ok(solver) => Ok(Some(solver)),
-            Err(MipsError::UnknownBackend { key: k }) if k == cache_key => Ok(None),
-            Err(err) => Err(err),
-        }
+            if view.is_full() {
+                return Ok(Some(Arc::from(built)));
+            }
+            stats.builds += 1;
+            stats.build_ns += started.elapsed().as_nanos() as u64;
+            let scoped: Arc<dyn MipsSolver> = Arc::new(ShardScopedSolver::new(built, users.start));
+            Ok(Some(scoped))
+        })
     }
 
-    /// The candidates `key` contributes under the engine's precision mode,
-    /// over the whole model or (with `users`) over a shard's view:
-    /// [`Precision::F64`] gives the plain build; [`Precision::I8Rescore`]
-    /// substitutes the screen build when the backend has one (labelled
-    /// with the plain key — the mode is forced, not competed); and
-    /// [`Precision::Auto`] adds the screen build as an **extra** candidate
-    /// labelled `"<key>+i8"`, so OPTIMUS prices the two modes against each
-    /// other.
+    /// The candidates `key` contributes over `users` under the engine's
+    /// precision mode: [`Precision::F64`] gives the plain build;
+    /// [`Precision::I8Rescore`] substitutes the screen build when the
+    /// backend has one (labelled with the plain key — the mode is forced,
+    /// not competed); and [`Precision::Auto`] adds the screen build as an
+    /// **extra** candidate labelled `"<key>+i8"`, so OPTIMUS prices the two
+    /// modes against each other.
     fn mode_candidates(
         &self,
         state: &ModelEpoch,
-        users: Option<&Range<usize>>,
+        users: &Range<usize>,
         key: &str,
         stats: &mut ShardBuildStats,
     ) -> Result<PlanCandidates, MipsError> {
         let mut build = |screen| self.cached_solver(state, users, key, screen, stats);
-        let plain =
-            |built: Option<Arc<dyn MipsSolver>>| built.expect("every backend has a plain build");
         Ok(match self.config.precision {
             Precision::F64 => vec![(key.to_string(), plain(build(false)?))],
             Precision::I8Rescore => {
@@ -612,8 +596,9 @@ impl Engine {
         let solver = if self.config.precision == Precision::Auto {
             self.solver_on(&state, key)?
         } else {
+            let users = state.all_users();
             let mut only =
-                self.mode_candidates(&state, None, key, &mut ShardBuildStats::default())?;
+                self.mode_candidates(&state, &users, key, &mut ShardBuildStats::default())?;
             only.swap_remove(0).1
         };
         serve(
@@ -674,65 +659,17 @@ impl Engine {
     /// Runs the OPTIMUS planner for requests at `k` and caches the
     /// decision in the current epoch. Calling again with the same `k` (on
     /// the same epoch) returns the cached plan without re-sampling.
-    /// Planning happens under a per-`k` lock, so a long sampling run for
-    /// one `k` never stalls requests at another.
+    /// Planning for one `k` never holds a lock that requests at another
+    /// `k` wait on.
     pub fn prepare(&self, k: usize) -> Result<Arc<PreparedPlan>, MipsError> {
-        self.prepare_on(&self.snapshot(), k)
+        self.global_plan(&self.snapshot(), k)
     }
 
-    /// [`Engine::prepare`] pinned to one epoch snapshot — the concurrent
-    /// runtime uses this so a sub-request plans (and serves) on the epoch
-    /// its request was admitted under, even if a swap lands in between.
-    pub(crate) fn prepare_on(
-        &self,
-        state: &ModelEpoch,
-        k: usize,
-    ) -> Result<Arc<PreparedPlan>, MipsError> {
-        if k == 0 || k > state.model.num_items() {
-            return Err(MipsError::InvalidK {
-                k,
-                num_items: state.model.num_items(),
-            });
-        }
-        let cell = {
-            let mut map = lock_recovering(&state.plans);
-            Arc::clone(map.entry(k).or_default())
-        };
-        get_or_build(&cell, || Ok(Arc::new(self.plan_for_k(state, k)?)))
-    }
-
-    /// The plan for requests at `k` restricted to the contiguous user
-    /// range `users`, planned **per shard**: candidates are shard-local
-    /// solvers built over a view of the range (plus, under
-    /// [`IndexScope::Auto`], the global plan's winner), and OPTIMUS
-    /// samples the shard's own users. Cached in the epoch's per-shard tier
-    /// under `(bounds, k)`; reclaimed with the epoch exactly like the
-    /// global tier.
-    pub(crate) fn prepare_shard_on(
-        &self,
-        state: &ModelEpoch,
-        users: &Range<usize>,
-        k: usize,
-        scope: IndexScope,
-        stats: &mut ShardBuildStats,
-    ) -> Result<Arc<PreparedPlan>, MipsError> {
-        debug_assert!(scope.builds_local(), "global scope plans via prepare_on");
-        if k == 0 || k > state.model.num_items() {
-            return Err(MipsError::InvalidK {
-                k,
-                num_items: state.model.num_items(),
-            });
-        }
-        let auto = scope == IndexScope::Auto;
-        let cell = {
-            let mut map = lock_recovering(&state.shard_plans);
-            Arc::clone(map.entry(((users.start, users.end), k, auto)).or_default())
-        };
-        get_or_build(&cell, || {
-            Ok(Arc::new(
-                self.shard_plan_for_k(state, users, k, auto, stats)?,
-            ))
-        })
+    /// [`Engine::plan_on`] over the full user range: the whole-model plan
+    /// for `k` on one epoch snapshot.
+    fn global_plan(&self, state: &ModelEpoch, k: usize) -> Result<Arc<PreparedPlan>, MipsError> {
+        let users = state.all_users();
+        self.plan_on(state, &users, k, false, &mut ShardBuildStats::default())
     }
 
     /// Serves a request through the plan cache: plans once per `k` per
@@ -740,107 +677,57 @@ impl Engine {
     pub fn execute(&self, request: &QueryRequest) -> Result<QueryResponse, MipsError> {
         let state = self.snapshot();
         request.validate(&state.model)?;
-        let plan = self.prepare_on(&state, request.k)?;
-        plan.execute_prevalidated(request)
+        self.global_plan(&state, request.k)?
+            .execute_prevalidated(request)
     }
 
-    /// Assembles the planner's candidate list for one epoch under the
-    /// engine's precision mode: every registry backend in order, with the
-    /// screen variants [`Engine::mode_candidates`] adds.
-    fn precision_candidates(&self, state: &ModelEpoch) -> Result<PlanCandidates, MipsError> {
-        let mut candidates = Vec::new();
-        for key in self.registry.keys() {
-            candidates.extend(self.mode_candidates(
-                state,
-                None,
-                key,
-                &mut ShardBuildStats::default(),
-            )?);
-        }
-        Ok(candidates)
-    }
-
-    /// The planning phase behind [`Engine::prepare`].
-    fn plan_for_k(&self, state: &ModelEpoch, k: usize) -> Result<PreparedPlan, MipsError> {
-        let (keys, solvers): (Vec<String>, Vec<Arc<dyn MipsSolver>>) =
-            self.precision_candidates(state)?.into_iter().unzip();
-        self.planner_runs.fetch_add(1, Ordering::SeqCst);
-
-        if solvers.len() == 1 {
-            // One candidate: nothing to sample.
-            return Ok(PreparedPlan {
-                model: Arc::clone(&state.model),
-                precision: solvers[0].precision(),
-                winner: Arc::clone(&solvers[0]),
-                backend_key: keys[0].clone(),
-                planned_k: k,
-                threads: self.config.threads,
-                epoch: state.id,
-                estimates: Vec::new(),
-                sample_size: 0,
-                decision_seconds: 0.0,
-                shard_users: None,
-                local_index: false,
-                analytical_bmm_seconds: 0.0,
-                analytical_sparse_seconds: 0.0,
-            });
-        }
-
-        let view = ModelView::full(&state.model);
-        let (winner_idx, choice) = self.run_planner(&view, k, &solvers);
-        Ok(PreparedPlan {
-            model: Arc::clone(&state.model),
-            precision: solvers[winner_idx].precision(),
-            winner: Arc::clone(&solvers[winner_idx]),
-            backend_key: keys[winner_idx].clone(),
-            planned_k: k,
-            threads: self.config.threads,
-            epoch: state.id,
-            estimates: choice.estimates,
-            sample_size: choice.sample_size,
-            decision_seconds: choice.decision_seconds,
-            shard_users: None,
-            local_index: false,
-            analytical_bmm_seconds: self.analytical_bmm_seconds(&view),
-            analytical_sparse_seconds: self.analytical_sparse_seconds(&view, &solvers),
-        })
-    }
-
-    /// The planning phase behind [`Engine::prepare_shard_on`]: candidates
-    /// are the shard-local solvers for every registered backend (built —
-    /// or fetched from the epoch's per-shard tier — over a view of
-    /// `users`), plus the global plan's winner when `auto` is set. OPTIMUS
-    /// samples the shard's own users, so the decision reflects the slice's
-    /// shape, not the whole model's.
-    fn shard_plan_for_k(
+    /// The plan for requests at `k` over the contiguous user range `users`
+    /// of one epoch snapshot: the engine's one planning path, behind
+    /// [`Engine::prepare`] (the full range) and the serving runtime's
+    /// shards. Cached in the epoch's plan tier under `(bounds, k, auto)`.
+    ///
+    /// Candidates are every registered backend's solvers over `users` (see
+    /// [`Engine::mode_candidates`]); with `auto` set, the whole-model
+    /// plan's winner competes too, first in line. OPTIMUS samples the
+    /// range's own users, so a shard's decision reflects its slice's shape.
+    ///
+    /// A range covering the whole model always resolves to the global
+    /// plan, whatever `auto` says: its solvers are the whole-model ones, so
+    /// the global winner is already among them.
+    pub(crate) fn plan_on(
         &self,
         state: &ModelEpoch,
         users: &Range<usize>,
         k: usize,
         auto: bool,
         stats: &mut ShardBuildStats,
-    ) -> Result<PreparedPlan, MipsError> {
-        // (key, is-shard-local, solver), sampled in this order below.
-        let mut candidates: Vec<(String, bool, Arc<dyn MipsSolver>)> = Vec::new();
-        if auto {
-            let global = self.prepare_on(state, k)?;
-            candidates.push((
-                global.backend_key().to_string(),
-                false,
-                Arc::clone(&global.winner),
-            ));
+    ) -> Result<Arc<PreparedPlan>, MipsError> {
+        if k == 0 || k > state.model.num_items() {
+            return Err(MipsError::InvalidK {
+                k,
+                num_items: state.model.num_items(),
+            });
         }
-        for key in self.registry.keys() {
-            let local = self.mode_candidates(state, Some(users), key, stats)?;
-            candidates.extend(local.into_iter().map(|(key, solver)| (key, true, solver)));
-        }
-        self.planner_runs.fetch_add(1, Ordering::SeqCst);
-
-        if candidates.len() == 1 {
-            // One candidate (PerShard scope, single backend): nothing to
-            // sample — mirror the global single-candidate shortcut.
-            let (backend_key, local_index, winner) = candidates.pop().expect("one candidate");
-            return Ok(PreparedPlan {
+        let full = *users == state.all_users();
+        let auto = auto && !full;
+        let cell = {
+            let mut map = lock_recovering(&state.plans);
+            Arc::clone(map.entry(((users.start, users.end), k, auto)).or_default())
+        };
+        get_or_build(&cell, || {
+            let mut candidates = PlanCandidates::new();
+            if auto {
+                let global = self.global_plan(state, k)?;
+                candidates.push((global.backend_key.clone(), Arc::clone(&global.winner)));
+            }
+            for key in self.registry.keys() {
+                candidates.extend(self.mode_candidates(state, users, key, stats)?);
+            }
+            self.planner_runs.fetch_add(1, Ordering::SeqCst);
+            let view = ModelView::of_range(&state.model, users.clone());
+            let choice = self.run_planner(&view, k, &candidates);
+            let (backend_key, winner) = candidates.swap_remove(choice.chosen);
+            Ok(Arc::new(PreparedPlan {
                 model: Arc::clone(&state.model),
                 precision: winner.precision(),
                 winner,
@@ -848,58 +735,43 @@ impl Engine {
                 planned_k: k,
                 threads: self.config.threads,
                 epoch: state.id,
-                estimates: Vec::new(),
-                sample_size: 0,
-                decision_seconds: 0.0,
-                shard_users: Some(users.clone()),
-                local_index,
-                analytical_bmm_seconds: 0.0,
-                analytical_sparse_seconds: 0.0,
-            });
-        }
-
-        let view = ModelView::of_range(&state.model, users.clone());
-        let solvers: Vec<Arc<dyn MipsSolver>> =
-            candidates.iter().map(|(_, _, s)| Arc::clone(s)).collect();
-        let (winner_idx, choice) = self.run_planner(&view, k, &solvers);
-        let analytical_bmm_seconds = self.analytical_bmm_seconds(&view);
-        let analytical_sparse_seconds = self.analytical_sparse_seconds(&view, &solvers);
-        let (backend_key, local_index, winner) = candidates.swap_remove(winner_idx);
-        Ok(PreparedPlan {
-            model: Arc::clone(&state.model),
-            precision: winner.precision(),
-            winner,
-            backend_key,
-            planned_k: k,
-            threads: self.config.threads,
-            epoch: state.id,
-            estimates: choice.estimates,
-            sample_size: choice.sample_size,
-            decision_seconds: choice.decision_seconds,
-            shard_users: Some(users.clone()),
-            local_index,
-            analytical_bmm_seconds,
-            analytical_sparse_seconds,
+                estimates: choice.estimates,
+                sample_size: choice.sample_size,
+                decision_seconds: choice.decision_seconds,
+                shard_users: (!full).then(|| users.clone()),
+                // Every candidate is local to a proper sub-range except
+                // Auto's leading global winner.
+                local_index: !full && choice.chosen >= usize::from(auto),
+            }))
         })
     }
 
     /// Runs OPTIMUS over the candidate set, reordered so its t-test timing
     /// reference is the first batch-capable candidate (BMM-like) when one
-    /// is present — regardless of input order. Returns the winner's index
-    /// **in the input order** plus the planner's evidence.
+    /// is present — regardless of input order. The returned choice indexes
+    /// the winner **in the input order**. A single candidate wins without
+    /// sampling (no estimates, sample size 0).
     fn run_planner(
         &self,
         view: &ModelView,
         k: usize,
-        solvers: &[Arc<dyn MipsSolver>],
-    ) -> (usize, crate::optimus::PlannedChoice) {
-        let mut order: Vec<usize> = (0..solvers.len()).collect();
-        if let Some(batch) = solvers.iter().position(|s| s.batches_users()) {
+        candidates: &[(String, Arc<dyn MipsSolver>)],
+    ) -> PlannedChoice {
+        if candidates.len() == 1 {
+            return PlannedChoice {
+                chosen: 0,
+                estimates: Vec::new(),
+                sample_size: 0,
+                decision_seconds: 0.0,
+            };
+        }
+        let mut order: Vec<usize> = (0..candidates.len()).collect();
+        if let Some(batch) = candidates.iter().position(|(_, s)| s.batches_users()) {
             order.remove(batch);
             order.insert(0, batch);
         }
         let optimus = Optimus::new(self.config.optimus);
-        let refs: Vec<&dyn MipsSolver> = order.iter().map(|&i| solvers[i].as_ref()).collect();
+        let refs: Vec<&dyn MipsSolver> = order.iter().map(|&i| candidates[i].1.as_ref()).collect();
         let mut choice = optimus.choose(view, k, &refs);
 
         if refs[choice.chosen].precision() == Precision::I8Rescore {
@@ -907,41 +779,8 @@ impl Engine {
                 choice.chosen = base;
             }
         }
-        (order[choice.chosen], choice)
-    }
-
-    /// The §IV-A analytical prior recorded on sampled plans: predicted
-    /// multiply-stage seconds for the view's users over the full catalog,
-    /// using the registry's calibrated FLOP rate (measured once per SIMD
-    /// kernel, cached across epochs and shards).
-    fn analytical_bmm_seconds(&self, view: &ModelView) -> f64 {
-        self.registry.analytical_bmm().predict_seconds(
-            view.num_users(),
-            view.num_items(),
-            view.num_factors(),
-        )
-    }
-
-    /// The analytical prior for the sparse inverted-index **accumulation
-    /// stage**, recorded only when the sparse backend competed in this plan
-    /// (so dense-only engines never pay the postings-walk calibration).
-    /// Expected work is derived from sampled nnz/density statistics the
-    /// same way the BMM prior derives FLOPs from the view's shape: each
-    /// query touches one postings list per nonzero query factor, and each
-    /// list holds `density × num_items` postings on average. Candidate
-    /// selection and the exact rescore are data-dependent and covered by
-    /// online sampling, like the top-k stage of the dense prior.
-    fn analytical_sparse_seconds(&self, view: &ModelView, solvers: &[Arc<dyn MipsSolver>]) -> f64 {
-        if solvers.iter().all(|s| s.name() != "Sparse-II") {
-            return 0.0;
-        }
-        const SAMPLE_ROWS: usize = 256;
-        let user_stats = mips_data::SparsityStats::sample(view.model().users(), SAMPLE_ROWS);
-        let item_stats = mips_data::SparsityStats::sample(view.items(), SAMPLE_ROWS);
-        let updates_per_query =
-            user_stats.avg_nnz_per_row * item_stats.density * view.num_items() as f64;
-        let updates = view.num_users() as f64 * updates_per_query;
-        self.registry.analytical_sparse().predict_seconds(updates)
+        choice.chosen = order[choice.chosen];
+        choice
     }
 }
 
@@ -1765,12 +1604,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_plans_cache_by_bounds_and_count_local_builds() {
+    fn sub_range_plans_cache_by_bounds_and_count_local_builds() {
         let engine = engine(60, 40);
         let state = engine.snapshot();
         let mut stats = ShardBuildStats::default();
         let plan = engine
-            .prepare_shard_on(&state, &(0..30), 4, IndexScope::PerShard, &mut stats)
+            .plan_on(&state, &(0..30), 4, false, &mut stats)
             .unwrap();
         assert_eq!(plan.shard_users(), Some(0..30));
         assert!(plan.uses_local_index());
@@ -1778,12 +1617,11 @@ mod tests {
         assert_eq!(stats.builds, 6, "six default backends built for the shard");
         assert!(stats.build_ns > 0);
         assert_eq!(plan.estimates().len(), 6);
-        assert!(plan.analytical_bmm_seconds() > 0.0);
 
         // Same bounds + k: cache hit, no construction, same plan instance.
         let mut again_stats = ShardBuildStats::default();
         let again = engine
-            .prepare_shard_on(&state, &(0..30), 4, IndexScope::PerShard, &mut again_stats)
+            .plan_on(&state, &(0..30), 4, false, &mut again_stats)
             .unwrap();
         assert!(Arc::ptr_eq(&plan, &again));
         assert_eq!(again_stats.builds, 0);
@@ -1791,7 +1629,7 @@ mod tests {
         // Same bounds, new k: solvers reused, only planning happens.
         let mut new_k_stats = ShardBuildStats::default();
         let other_k = engine
-            .prepare_shard_on(&state, &(0..30), 2, IndexScope::PerShard, &mut new_k_stats)
+            .plan_on(&state, &(0..30), 2, false, &mut new_k_stats)
             .unwrap();
         assert_eq!(new_k_stats.builds, 0, "shard solvers are shared across k");
         assert_eq!(other_k.planned_k(), 2);
@@ -1799,7 +1637,7 @@ mod tests {
         // Different bounds: a separate tier entry with its own builds.
         let mut other_stats = ShardBuildStats::default();
         let other = engine
-            .prepare_shard_on(&state, &(30..60), 4, IndexScope::PerShard, &mut other_stats)
+            .plan_on(&state, &(30..60), 4, false, &mut other_stats)
             .unwrap();
         assert_eq!(other_stats.builds, 6);
         assert_eq!(other.shard_users(), Some(30..60));
@@ -1807,18 +1645,18 @@ mod tests {
         // Bad k surfaces as the same typed error as global planning.
         let mut err_stats = ShardBuildStats::default();
         assert!(matches!(
-            engine.prepare_shard_on(&state, &(0..30), 0, IndexScope::PerShard, &mut err_stats),
+            engine.plan_on(&state, &(0..30), 0, false, &mut err_stats),
             Err(MipsError::InvalidK { k: 0, .. })
         ));
     }
 
     #[test]
-    fn auto_shard_plans_pit_the_global_winner_against_local_candidates() {
+    fn auto_sub_range_plans_pit_the_global_winner_against_local_candidates() {
         let engine = engine(80, 40);
         let state = engine.snapshot();
         let mut stats = ShardBuildStats::default();
         let auto = engine
-            .prepare_shard_on(&state, &(0..40), 3, IndexScope::Auto, &mut stats)
+            .plan_on(&state, &(0..40), 3, true, &mut stats)
             .unwrap();
         // Candidates: the global plan's winner plus one local solver per
         // registered backend.
@@ -1828,31 +1666,20 @@ mod tests {
         assert!(engine.prepare(3).unwrap().shard_users().is_none());
         // The recorded decision tells whether this shard went local.
         let _went_local = auto.uses_local_index();
-    }
 
-    #[test]
-    fn analytical_prior_calibrates_once_across_epochs_and_shards() {
-        let engine = engine(60, 40);
-        assert_eq!(engine.registry().calibration_runs(), 0);
-        let plan = engine.prepare(3).unwrap();
-        assert!(plan.analytical_bmm_seconds() > 0.0);
-        assert_eq!(engine.registry().calibration_runs(), 1);
-        // Shard plans on the same engine reuse the rate...
-        let state = engine.snapshot();
-        let mut stats = ShardBuildStats::default();
-        let shard_plan = engine
-            .prepare_shard_on(&state, &(0..30), 3, IndexScope::PerShard, &mut stats)
-            .unwrap();
-        assert!(shard_plan.analytical_bmm_seconds() > 0.0);
-        assert!(
-            shard_plan.analytical_bmm_seconds() < plan.analytical_bmm_seconds(),
-            "the prior is sized to the view (half the users)"
-        );
-        assert_eq!(engine.registry().calibration_runs(), 1);
-        // ...and so does a fresh epoch: no per-epoch recalibration.
-        engine.swap_model(model(60, 40)).unwrap();
-        engine.prepare(3).unwrap();
-        assert_eq!(engine.registry().calibration_runs(), 1);
+        // The full range is the global plan under either flag: same
+        // instance, no local builds, no extra planner run.
+        let runs = engine.planner_runs();
+        for auto in [false, true] {
+            let mut full_stats = ShardBuildStats::default();
+            let full = engine
+                .plan_on(&state, &(0..80), 3, auto, &mut full_stats)
+                .unwrap();
+            assert!(Arc::ptr_eq(&full, &engine.prepare(3).unwrap()));
+            assert!(!full.uses_local_index());
+            assert_eq!(full_stats.builds, 0);
+        }
+        assert_eq!(engine.planner_runs(), runs);
     }
 
     #[test]
@@ -1934,7 +1761,6 @@ mod tests {
         for (g, w) in auto.results.iter().zip(&want.results) {
             assert_eq!(g.items, w.items);
         }
-        assert!(plan.analytical_bmm_seconds() > 0.0);
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! Planning (building candidate backends and timing them on a user sample)
 //! is expensive relative to one request, so the engine runs it once per
-//! `k` and caches the decision in a [`PreparedPlan`]. Subsequent requests
-//! through the plan — or through [`super::Engine::execute`], which caches
-//! plans internally — reuse the winning backend without re-sampling.
+//! `(user range, k)` and caches the decision in a [`PreparedPlan`].
+//! Subsequent requests through the plan — or through
+//! [`super::Engine::execute`], which caches plans internally — reuse the
+//! winning backend without re-sampling. The decision rests on the sampled
+//! timings alone; no analytical cost model is consulted.
 
 use super::error::MipsError;
 use super::request::{QueryRequest, QueryResponse};
@@ -18,11 +20,12 @@ use std::ops::Range;
 /// A cached planning decision: the winning backend plus the evidence the
 /// planner used to pick it.
 ///
-/// A plan is either **global** (sampled over the whole model, the winner
-/// serves any user) or **shard-scoped** ([`PreparedPlan::shard_users`] is
-/// set): sampled over one contiguous user range, its winner serves exactly
-/// that range — in global user ids — and may be a shard-local index built
-/// over a [`ModelView`](mips_data::ModelView) of the range.
+/// Every plan is sampled over one contiguous user range. A plan over the
+/// whole model is **global**: its winner serves any user, and
+/// [`PreparedPlan::shard_users`] is `None`. A plan over a proper sub-range
+/// is **shard-scoped**: its winner serves exactly that range — in global
+/// user ids — and may be a shard-local index built over a
+/// [`ModelView`](mips_data::ModelView) of the range.
 pub struct PreparedPlan {
     pub(super) model: Arc<MfModel>,
     pub(super) winner: Arc<dyn MipsSolver>,
@@ -47,21 +50,12 @@ pub struct PreparedPlan {
     /// global plans; under `IndexScope::Auto` this records the per-shard
     /// decision.
     pub(super) local_index: bool,
-    /// The §IV-A analytical prior: predicted seconds for the BMM multiply
-    /// stage over the plan's users, from the registry's calibrated FLOP
-    /// rate. `0.0` when planning skipped sampling (single candidate).
-    pub(super) analytical_bmm_seconds: f64,
     /// The numeric mode the winning solver actually serves through. Under
     /// [`Precision::Auto`] this records the planner's per-plan decision;
     /// under a forced mode it records the effective value (a backend
     /// without a screen path reports [`Precision::F64`] even when
     /// `I8Rescore` was requested).
     pub(super) precision: Precision,
-    /// The analytical prior for the sparse inverted-index accumulation
-    /// stage: predicted seconds for serving every user the plan covers,
-    /// from the calibrated postings-walk rate scaled by sampled nnz/density
-    /// statistics. `0.0` when no sparse candidate competed.
-    pub(super) analytical_sparse_seconds: f64,
 }
 
 impl PreparedPlan {
@@ -113,22 +107,6 @@ impl PreparedPlan {
     /// the shard's user view (as opposed to the shared global solver).
     pub fn uses_local_index(&self) -> bool {
         self.local_index
-    }
-
-    /// The analytical BMM prior recorded at planning time: predicted
-    /// multiply-stage seconds for serving every user the plan covers, from
-    /// the registry's calibrated (per-kernel, cached) FLOP rate. `0.0`
-    /// when planning skipped sampling.
-    pub fn analytical_bmm_seconds(&self) -> f64 {
-        self.analytical_bmm_seconds
-    }
-
-    /// The analytical prior for the sparse inverted-index accumulation
-    /// stage, when a sparse candidate competed in this plan (`0.0`
-    /// otherwise): calibrated postings-walk rate × expected touched
-    /// postings from sampled nnz/density statistics.
-    pub fn analytical_sparse_seconds(&self) -> f64 {
-        self.analytical_sparse_seconds
     }
 
     /// The numeric mode the plan's winner serves through — the effective

@@ -10,16 +10,13 @@ use super::error::MipsError;
 use crate::adapters::{FexiproSolver, LempSolver, SparseSolver};
 use crate::bmm::BmmSolver;
 use crate::maximus::{MaximusConfig, MaximusIndex};
-use crate::optimus::cost::{AnalyticalBmmModel, AnalyticalSparseModel};
 use crate::precision::ScanTier;
 use crate::solver::MipsSolver;
-use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Arc, Mutex};
+use crate::sync::Arc;
 use mips_data::{MfModel, ModelView};
 use mips_fexipro::FexiproConfig;
 use mips_lemp::LempConfig;
 use mips_sparse::SparseConfig;
-use std::collections::HashMap;
 
 /// Builds solvers for one backend family.
 ///
@@ -313,83 +310,15 @@ where
 /// Order matters: the planner samples candidates in registration order and
 /// uses the first batch-capable backend as the timing reference for its
 /// t-test, so conventionally BMM registers first.
-///
-/// The registry also owns the planner's **calibration cache**: the
-/// analytical BMM cost model's sustained FLOP rate, measured once per SIMD
-/// kernel and shared (through clones of the registry, and therefore across
-/// model epochs and shards) by every plan that wants the §IV-A analytical
-/// prior — see [`BackendRegistry::analytical_bmm`].
 #[derive(Clone, Default)]
 pub struct BackendRegistry {
     factories: Vec<Arc<dyn SolverFactory>>,
-    /// Calibrated rate per kernel name. Behind an `Arc` so engine builders
-    /// that clone the registry keep sharing one cache.
-    calibration: Arc<Mutex<HashMap<&'static str, AnalyticalBmmModel>>>,
-    /// How many real calibration measurements have run (tests assert the
-    /// cache actually dedupes across epochs and shards).
-    calibration_runs: Arc<AtomicU64>,
-    /// Calibrated postings-walk rate per kernel name, cached like the BMM
-    /// rate (its own cache and counter: sparse calibration only runs when a
-    /// sparse backend is actually planned, and tests pin the BMM counter).
-    sparse_calibration: Arc<Mutex<HashMap<&'static str, AnalyticalSparseModel>>>,
-    /// Cache misses of [`BackendRegistry::analytical_sparse`].
-    sparse_calibration_runs: Arc<AtomicU64>,
 }
 
 impl BackendRegistry {
     /// An empty registry.
     pub fn new() -> BackendRegistry {
         BackendRegistry::default()
-    }
-
-    /// The calibrated analytical BMM cost model for the **active** SIMD
-    /// kernel, measuring on first use and caching the rate per kernel
-    /// name.
-    ///
-    /// A rate calibrated under one kernel must never be reused under
-    /// another (the module docs of [`crate::optimus::cost`]), so the cache
-    /// key is the kernel name; within one kernel the rate is a host
-    /// property, not a model property, so epochs and shards all reuse the
-    /// single measurement instead of re-timing a `256³` GEMM on their
-    /// first plan.
-    pub fn analytical_bmm(&self) -> AnalyticalBmmModel {
-        let kernel = mips_linalg::simd::active().name();
-        let mut cache = super::lock_recovering(&self.calibration);
-        if let Some(model) = cache.get(kernel) {
-            return *model;
-        }
-        // Calibration is a few milliseconds; holding the lock dedupes
-        // concurrent first callers onto one measurement.
-        let model = AnalyticalBmmModel::calibrate();
-        self.calibration_runs.fetch_add(1, Ordering::Relaxed);
-        cache.insert(kernel, model);
-        model
-    }
-
-    /// How many calibration measurements [`BackendRegistry::analytical_bmm`]
-    /// has actually run (cache misses).
-    pub fn calibration_runs(&self) -> u64 {
-        self.calibration_runs.load(Ordering::Relaxed)
-    }
-
-    /// The calibrated analytical cost model of the sparse inverted-index
-    /// accumulation loop, cached per kernel name like
-    /// [`BackendRegistry::analytical_bmm`].
-    pub fn analytical_sparse(&self) -> AnalyticalSparseModel {
-        let kernel = mips_linalg::simd::active().name();
-        let mut cache = super::lock_recovering(&self.sparse_calibration);
-        if let Some(model) = cache.get(kernel) {
-            return *model;
-        }
-        let model = AnalyticalSparseModel::calibrate();
-        self.sparse_calibration_runs.fetch_add(1, Ordering::Relaxed);
-        cache.insert(kernel, model);
-        model
-    }
-
-    /// Cache misses of [`BackendRegistry::analytical_sparse`].
-    pub fn sparse_calibration_runs(&self) -> u64 {
-        self.sparse_calibration_runs.load(Ordering::Relaxed)
     }
 
     /// The registry of all built-in backends with default parameters:
@@ -547,23 +476,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn analytical_bmm_calibrates_once_per_kernel_and_shares_across_clones() {
-        let registry = BackendRegistry::with_defaults();
-        assert_eq!(registry.calibration_runs(), 0);
-        let first = registry.analytical_bmm();
-        assert_eq!(registry.calibration_runs(), 1);
-        assert!(first.flops_per_second > 0.0);
-        // Second call (and calls through a clone — the engine builder
-        // clones the registry) reuse the measurement.
-        let clone = registry.clone();
-        let again = clone.analytical_bmm();
-        assert_eq!(registry.calibration_runs(), 1);
-        assert_eq!(clone.calibration_runs(), 1);
-        assert_eq!(again.flops_per_second, first.flops_per_second);
-        assert_eq!(again.kernel, first.kernel);
     }
 
     #[test]

@@ -19,6 +19,10 @@
 //!   on the shard's user sample, so a shard only goes local when its slice
 //!   actually plans differently.
 //!
+//! A shard whose range covers the whole model (a one-shard server) gets
+//! the global plan and the global solvers under every scope: there is no
+//! narrower slice to plan for.
+//!
 //! Whatever the scope, results are bit-identical to the global engine:
 //! every solver is exact, every built-in backend's shard-local build
 //! returns bit-identical lists to its global build for the same users, and
@@ -52,11 +56,6 @@ impl IndexScope {
             IndexScope::PerShard => "per-shard",
             IndexScope::Auto => "auto",
         }
-    }
-
-    /// `true` when the scope can build shard-local state.
-    pub(crate) fn builds_local(&self) -> bool {
-        !matches!(self, IndexScope::Global)
     }
 }
 
@@ -217,9 +216,6 @@ mod tests {
         assert_eq!(IndexScope::PerShard.as_str(), "per-shard");
         assert_eq!(IndexScope::Auto.as_str(), "auto");
         assert_eq!(IndexScope::default(), IndexScope::Global);
-        assert!(!IndexScope::Global.builds_local());
-        assert!(IndexScope::PerShard.builds_local());
-        assert!(IndexScope::Auto.builds_local());
         assert_eq!(format!("{}", IndexScope::Auto), "auto");
     }
 }

@@ -15,11 +15,10 @@
 //! 4. **serves the remaining users with the estimated winner**, reusing the
 //!    winner's sampled results.
 //!
-//! [`cost`] additionally implements the paper's offline analytical FLOP
-//! model for the BMM multiply stage, with calibration replacing the paper's
-//! hardware datasheet lookup.
+//! Decisions rest on these sampled timings alone. The paper's offline
+//! analytical FLOP model (§IV-A) predicts only BMM's multiply stage, not
+//! the data-dependent top-k selection, so it is not implemented here.
 
-pub mod cost;
 pub mod oracle;
 
 use crate::engine::registry::{BmmFactory, SolverFactory};
@@ -299,30 +298,14 @@ impl Optimus {
         k: usize,
         indexes: &[Arc<dyn SolverFactory>],
     ) -> Vec<StrategyEstimate> {
-        self.estimation_phase(&ModelView::full(model), k, indexes)
-            .estimates
-    }
-
-    /// [`Optimus::estimate_only`] over a user-range view: candidates are
-    /// **built over the view** (shard-local index construction) and the
-    /// sample is drawn from — and the totals extrapolated to — the view's
-    /// users. The per-shard planning the serving runtime's
-    /// `IndexScope::PerShard` mode performs is exactly this.
-    pub fn estimate_only_view(
-        &self,
-        view: &ModelView,
-        k: usize,
-        indexes: &[Arc<dyn SolverFactory>],
-    ) -> Vec<StrategyEstimate> {
-        self.estimation_phase(view, k, indexes).estimates
+        self.estimation_phase(model, k, indexes).estimates
     }
 
     /// Construction plus sampling: everything OPTIMUS does before
-    /// committing to a strategy. Candidates are built over `view` and
-    /// queried with local user ids (`0..view.num_users()`).
+    /// committing to a strategy.
     fn estimation_phase(
         &self,
-        view: &ModelView,
+        model: &Arc<MfModel>,
         k: usize,
         indexes: &[Arc<dyn SolverFactory>],
     ) -> EstimationPhase {
@@ -330,6 +313,7 @@ impl Optimus {
             !indexes.iter().any(|f| f.key() == "bmm"),
             "Optimus: BMM is always included; pass only index factories"
         );
+        let view = &ModelView::full(model);
         let n = view.num_users();
         let (sample, taken) = self.sample_users(n, view.num_factors());
 
@@ -397,7 +381,7 @@ impl Optimus {
             estimates,
             bmm_results,
             mut index_results,
-        } = self.estimation_phase(&ModelView::full(model), k, indexes);
+        } = self.estimation_phase(model, k, indexes);
 
         // Decide.
         let chosen_idx = estimates

@@ -13,6 +13,7 @@
 
 use super::metrics::{ServerCounters, ShardCounters, ShardMetrics};
 use crate::engine::epoch::ModelEpoch;
+use crate::engine::scope::ShardBuildStats;
 use crate::engine::{
     lock_recovering, Engine, ExclusionSet, IndexScope, MipsError, PreparedPlan, QueryRequest,
     QueryResponse, UserSelection,
@@ -45,11 +46,11 @@ pub(crate) struct ShardEngine {
     /// against this snapshot, never the engine's live state).
     pub(crate) epoch: Arc<ModelEpoch>,
     /// The granularity of derived state this shard plans with:
-    /// [`IndexScope::Global`] shares the epoch's whole-model tier,
+    /// [`IndexScope::Global`] shares the epoch's whole-model state,
     /// `PerShard`/`Auto` build (lazily, on first use within the epoch)
-    /// shard-local solvers and plans over a view of `users`. Shard-local
-    /// state lives in the epoch's per-shard cache tier, so swaps and
-    /// re-sharding reclaim it exactly like the global state.
+    /// shard-local solvers and plans over a view of `users`. Both live in
+    /// the epoch's bounds-keyed cache tiers, so swaps and re-sharding
+    /// reclaim them together.
     scope: IndexScope,
     engine: Arc<Engine>,
     plans: Mutex<HashMap<usize, Arc<PreparedPlan>>>,
@@ -79,10 +80,12 @@ impl ShardEngine {
     }
 
     /// The plan for `k` on this shard's pinned epoch: shard-local cache
-    /// first, then the epoch's shared tier on a miss — the global per-`k`
-    /// cache under [`IndexScope::Global`], the per-shard tier (keyed by
-    /// this shard's bounds) under `PerShard`/`Auto`. Either way concurrent
-    /// planning across shards and topologies dedupes in the epoch.
+    /// first, then the epoch's plan tier on a miss. Under
+    /// [`IndexScope::Global`] the shard asks for the full user range, i.e.
+    /// the whole-model plan; under `PerShard`/`Auto` it asks for its own
+    /// bounds (and a shard that spans the whole model gets the whole-model
+    /// plan too). Either way concurrent planning across shards and
+    /// topologies dedupes in the epoch.
     ///
     /// Shard-local index construction performed on a miss is rolled into
     /// this shard's `local_index_builds` / build-time counters.
@@ -90,25 +93,21 @@ impl ShardEngine {
         if let Some(plan) = lock_recovering(&self.plans).get(&k) {
             return Ok(Arc::clone(plan));
         }
-        let plan = if self.scope.builds_local() {
-            let mut stats = crate::engine::scope::ShardBuildStats::default();
-            let plan = self.engine.prepare_shard_on(
-                &self.epoch,
-                &self.users,
-                k,
-                self.scope,
-                &mut stats,
-            )?;
-            if stats.builds > 0 {
-                self.counters
-                    .add(&self.counters.local_index_builds, stats.builds);
-                self.counters
-                    .add(&self.counters.local_build_ns, stats.build_ns);
-            }
-            plan
-        } else {
-            self.engine.prepare_on(&self.epoch, k)?
+        let users = match self.scope {
+            IndexScope::Global => self.epoch.all_users(),
+            IndexScope::PerShard | IndexScope::Auto => self.users.clone(),
         };
+        let mut stats = ShardBuildStats::default();
+        let auto = self.scope == IndexScope::Auto;
+        let plan = self
+            .engine
+            .plan_on(&self.epoch, &users, k, auto, &mut stats)?;
+        if stats.builds > 0 {
+            self.counters
+                .add(&self.counters.local_index_builds, stats.builds);
+            self.counters
+                .add(&self.counters.local_build_ns, stats.build_ns);
+        }
         lock_recovering(&self.plans).insert(k, Arc::clone(&plan));
         Ok(plan)
     }

@@ -2,9 +2,13 @@
 //! [`MipsError`] values — they never panic — for every registered backend,
 //! on the deterministic edge cases and under randomized fuzzing.
 
-use mips_core::engine::{EngineBuilder, ExclusionSet, MipsError, QueryRequest, UserSelection};
+use mips_core::engine::{
+    EngineBuilder, ExclusionSet, FnFactory, MipsError, QueryRequest, UserSelection,
+};
 use mips_core::maximus::MaximusConfig;
+use mips_core::solver::MipsSolver;
 use mips_data::synth::{synth_model, SynthConfig};
+use mips_data::MfModel;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -146,6 +150,42 @@ fn out_of_range_exclusions_are_typed_errors() {
             "backend {key}"
         );
     }
+}
+
+#[test]
+fn a_build_failing_with_its_own_unknown_backend_key_is_returned_not_a_panic() {
+    // A custom factory may fail with any typed error, including an
+    // `UnknownBackend` that names its own key. That is a failed build to
+    // hand back, not a signal that the backend lacks a build.
+    let model = Arc::new(synth_model(&SynthConfig {
+        num_users: NUM_USERS,
+        num_items: NUM_ITEMS,
+        num_factors: 6,
+        ..SynthConfig::default()
+    }));
+    let engine = EngineBuilder::new()
+        .model(model)
+        .register(FnFactory::new(
+            "custom",
+            |_: &Arc<MfModel>| -> Result<Box<dyn MipsSolver>, MipsError> {
+                Err(MipsError::UnknownBackend {
+                    key: "custom".into(),
+                })
+            },
+        ))
+        .build()
+        .expect("engine assembles");
+    let failed = MipsError::UnknownBackend {
+        key: "custom".into(),
+    };
+    assert_eq!(engine.solver("custom").err(), Some(failed.clone()));
+    assert_eq!(engine.execute(&QueryRequest::top_k(3)).unwrap_err(), failed);
+    assert_eq!(
+        engine
+            .execute_with("custom", &QueryRequest::top_k(3))
+            .unwrap_err(),
+        failed
+    );
 }
 
 /// Assembles a request from fuzzed raw parts. Selection modes:

@@ -373,6 +373,52 @@ fn auto_scope_records_the_per_shard_decision() {
 }
 
 #[test]
+fn a_shard_spanning_the_whole_model_serves_the_global_plan() {
+    // A one-shard server's only range is every user. Under PerShard and
+    // Auto alike that range must resolve to the engine's whole-model plan
+    // and solvers: no second planner run, no shard-local build.
+    let k = 4;
+    for scope in [IndexScope::PerShard, IndexScope::Auto] {
+        let engine = Arc::new(
+            EngineBuilder::new()
+                .model(model(72, 40))
+                .register(BmmFactory)
+                .register(MaximusFactory::new(MaximusConfig {
+                    num_clusters: 2,
+                    block_size: 8,
+                    ..MaximusConfig::default()
+                }))
+                .optimus(tiny_optimus())
+                .build()
+                .unwrap(),
+        );
+        let expected = engine.execute(&QueryRequest::top_k(k)).unwrap();
+        let plan = engine.prepare(k).unwrap();
+        let holders = Arc::strong_count(&plan);
+        let server = ServerBuilder::new()
+            .engine(Arc::clone(&engine))
+            .shards(1)
+            .workers(1)
+            .index_scope(scope)
+            .build()
+            .unwrap();
+        let served = server.execute(&QueryRequest::top_k(k)).unwrap();
+        assert_eq!(served.results, expected.results, "{scope}");
+        assert_eq!(served.backend, expected.backend, "{scope}");
+        assert_eq!(engine.planner_runs(), 1, "{scope}: one plan for the range");
+        assert_eq!(server.metrics().local_index_builds(), 0, "{scope}");
+        // The shard keeps a clone of the plan it resolved in its own plan
+        // cache, so the prepared plan gains a holder exactly when the shard
+        // serves this very `Arc` (`Arc::ptr_eq`), not a plan of its own.
+        assert!(
+            Arc::strong_count(&plan) > holders,
+            "{scope}: the shard planned separately from engine.prepare({k})"
+        );
+        server.shutdown().unwrap();
+    }
+}
+
+#[test]
 fn concurrent_first_touch_builds_do_not_convoy() {
     // Regression test for the warm path: lazy builds run OUTSIDE the cache
     // cell's critical section and install compare-and-swap style. With a

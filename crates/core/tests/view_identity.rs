@@ -65,11 +65,12 @@ proptest! {
         }
     }
 
-    /// Plans: a one-shard `PerShard` server (whose single shard's view IS
-    /// the full user range) picks the same backend and serves bit-identical
-    /// results to the global engine, for every backend registered alone.
+    /// Plans: a one-shard `PerShard` server (whose single shard's range IS
+    /// the full user range, so it serves the global plan) picks the same
+    /// backend and serves bit-identical results to the global engine, for
+    /// every backend registered alone.
     #[test]
-    fn full_range_shard_plans_match_global_plans(
+    fn full_range_views_plan_and_serve_like_the_global_engine(
         n_users in 4usize..20,
         n_items in 4usize..40,
         f in 1usize..6,

@@ -10,8 +10,8 @@
 //!   encode/decode and sparsify/densify round-trips exact identities.
 //! * [`SparseBlock`] — a CSR matrix (postings per row) with cached exact
 //!   per-row L2 norms, the storage the inverted-index solver prunes with.
-//! * [`SparsityStats`] — sampled nnz/density statistics, the inputs OPTIMUS
-//!   uses to cost dense vs sparse vs hybrid execution per plan candidate.
+//! * [`SparsityStats`] — sampled nnz/density statistics of a factor
+//!   matrix: how sparse a catalog or user block is, without a full scan.
 //! * [`synth_sparse_model`] — deterministic sparse/hybrid catalog generator
 //!   mirroring [`crate::synth`]: every knob that decides whether the
 //!   inverted index or a dense scan wins (density, hybrid head width,
@@ -335,8 +335,7 @@ impl SparseBlock {
     }
 }
 
-/// Sampled nnz/density statistics of a dense factor matrix — what OPTIMUS
-/// feeds its sparse-vs-dense cost comparison. Sampling walks up to
+/// Sampled nnz/density statistics of a dense factor matrix. Sampling walks up to
 /// `max_rows` evenly spaced rows, the same spirit as the planner's user
 /// sampling: an O(sample) scan instead of O(matrix) per plan.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -28,7 +28,7 @@ use std::ops::Range;
 
 /// Number of floating-point operations in one `m × n × k` multiply.
 ///
-/// Used by OPTIMUS's analytical (offline) BMM cost model, §IV-A.
+/// Used by the GEMM micro-benchmarks to report sustained FLOP/s.
 #[inline]
 pub fn gemm_flops(m: usize, n: usize, k: usize) -> f64 {
     2.0 * m as f64 * n as f64 * k as f64

@@ -289,8 +289,7 @@ impl InvertedIndex {
 
     /// Accumulation cost of a query touching *every* factor once: postings
     /// entries plus dense-panel cells. A query with `nnz(q)` uniformly
-    /// placed nonzeros expects `nnz(q)/f` of this — the quantity OPTIMUS's
-    /// analytical sparse model scales by sampled query-side nnz.
+    /// placed nonzeros expects `nnz(q)/f` of this.
     pub fn total_scan_cost(&self) -> usize {
         self.postings_nnz + self.num_dense_cols * self.num_items
     }
