@@ -11,7 +11,11 @@
 //! 3. **times BMM and every index on the sample** and linearly extrapolates
 //!    total serving time. For point-query indexes (LEMP, FEXIPRO) an
 //!    incremental one-sample t-test against BMM's mean per-user time stops
-//!    sampling as soon as the comparison is statistically settled;
+//!    sampling as soon as the comparison is statistically settled. The
+//!    engine's planner ([`Optimus::choose`]) adds a dominance cut: a
+//!    point-query pass stops once its elapsed time proves the candidate
+//!    can neither win nor change a screen demotion, and only screen-pair
+//!    sides within the cut get a second, min-of-two pass;
 //! 4. **serves the remaining users with the estimated winner**, reusing the
 //!    winner's sampled results.
 //!
@@ -22,6 +26,7 @@
 pub mod oracle;
 
 use crate::engine::registry::{BmmFactory, SolverFactory};
+use crate::engine::{SCREEN_ADOPTION_FLOOR_SECONDS, SCREEN_ADOPTION_MARGIN};
 use crate::solver::MipsSolver;
 use crate::sync::Arc;
 use mips_data::{MfModel, ModelView};
@@ -43,7 +48,9 @@ pub struct OptimusConfig {
     pub alpha: f64,
     /// Minimum observations before the t-test may decide.
     pub min_t_samples: u64,
-    /// Enable t-test early stopping for point-query indexes.
+    /// Enable early stopping: the t-test for point-query indexes, and in
+    /// [`Optimus::choose`] the dominance cut. Off, every candidate is timed
+    /// on the full sample, and both sides of a screen pair twice (Fig. 7).
     pub early_stopping: bool,
     /// Seed for user sampling.
     pub seed: u64,
@@ -69,8 +76,8 @@ pub struct StrategyEstimate {
     pub name: String,
     /// Index construction seconds (0 for BMM).
     pub build_seconds: f64,
-    /// Users actually timed (may be below the sample size when the t-test
-    /// stopped early).
+    /// Users actually timed: below the sample size when the t-test or the
+    /// dominance cut stopped a point-query pass early.
     pub sampled_users: usize,
     /// Measured sampling seconds.
     pub sample_seconds: f64,
@@ -103,7 +110,7 @@ struct EstimationPhase {
     bmm: Box<dyn MipsSolver>,
     built: Vec<Box<dyn MipsSolver>>,
     estimates: Vec<StrategyEstimate>,
-    bmm_results: Vec<TopKList>,
+    bmm_results: Option<Vec<TopKList>>,
     index_results: Vec<Option<Vec<TopKList>>>,
 }
 
@@ -176,11 +183,17 @@ impl Optimus {
     ///
     /// `solvers[0]` is the timing reference for the early-stopping t-test
     /// applied to point-query candidates, so it should be the batch
-    /// baseline (BMM) when one is present. Panics if `solvers` is empty;
-    /// the engine guards that case with a typed error before calling.
+    /// baseline (BMM) when one is present. Candidates the dominance cut
+    /// stops are timed only until they are provably out of the running, so
+    /// the choice equals the argmin over full measurements of the same
+    /// passes. Panics if `solvers` is empty; the engine guards that case
+    /// with a typed error before calling.
     pub fn choose(&self, view: &ModelView, k: usize, solvers: &[&dyn MipsSolver]) -> PlannedChoice {
         assert!(!solvers.is_empty(), "Optimus::choose: no candidate solvers");
         let overall = Instant::now();
+        // Sampling is planning, not serving: keep it out of the
+        // candidates' served screen counters.
+        let _planning = crate::solver::PlanningGuard::enter();
         let n = view.num_users();
         let (mut sample, _) = self.sample_users(n, view.num_factors());
         let base = view.user_range().start;
@@ -208,10 +221,9 @@ impl Optimus {
         // user counts, and on backends with heterogeneous per-user cost
         // (LEMP's scan length tracks the user's norm) that makes the
         // pair's estimates averages over different user mixes — enough
-        // to mis-rank a pair whose true costs are within ~20%. Force
-        // both sides of every screen pair onto the identical full
-        // sample so their comparison is apples-to-apples; unpaired
-        // candidates keep the cheap early-stopped sampling.
+        // to mis-rank a pair whose true costs are within ~20%. So the
+        // t-test never stops a screen pair's side; unpaired candidates
+        // keep the cheap early-stopped sampling.
         let names: Vec<&str> = solvers.iter().map(|s| s.name()).collect();
         fn strip(name: &str) -> Option<&str> {
             name.strip_suffix(crate::engine::SCREEN_I8_SUFFIX)
@@ -225,24 +237,35 @@ impl Optimus {
             })
             .collect();
 
-        // Time the reference candidate on the whole sample.
-        let _ = solvers[0].query_subset(k, warm);
-        let t0 = Instant::now();
-        let _ = solvers[0].query_subset(k, &sample);
-        let ref_sample_seconds = t0.elapsed().as_secs_f64();
-        let ref_per_user = ref_sample_seconds / sample.len() as f64;
-        let mut estimates = vec![StrategyEstimate {
-            name: solvers[0].name().to_string(),
-            build_seconds: solvers[0].build_seconds(),
-            sampled_users: sample.len(),
-            sample_seconds: ref_sample_seconds,
-            estimated_total_seconds: ref_per_user * n as f64,
-        }];
-
-        for (idx, solver) in solvers[1..].iter().enumerate() {
+        // Dominance cut: a candidate whose elapsed time proves its
+        // estimate above `dominance_cut(best)`, `best` being the smallest
+        // estimate recorded so far, can neither win the argmin nor change
+        // a screen demotion, so timing it further is waste. `best` only
+        // falls, so that stays true against the final winner. Point-query
+        // passes stop at the first user that crosses the cut (scaled to
+        // the sample) and extrapolate from the users done, which puts
+        // their estimate above the cut by construction; batch passes are
+        // never split, since the L2 sample floor needs the whole block.
+        let early = self.config.early_stopping;
+        let cut_seconds = |best: f64| {
+            if early {
+                dominance_cut(best) * sample.len() as f64 / n as f64
+            } else {
+                f64::INFINITY
+            }
+        };
+        let mut best = f64::INFINITY;
+        let mut ref_per_user = None;
+        let mut estimates = Vec::with_capacity(solvers.len());
+        for (idx, solver) in solvers.iter().enumerate() {
             let _ = solver.query_subset(k, warm);
+            let ttest = ref_per_user.filter(|_| early && !screen_paired[idx]);
             let (estimate, _) =
-                self.estimate_index(*solver, k, &sample, ref_per_user, n, screen_paired[idx + 1]);
+                self.estimate_index(*solver, k, &sample, n, ttest, cut_seconds(best));
+            if idx == 0 {
+                ref_per_user = Some(estimate.sample_seconds / estimate.sampled_users as f64);
+            }
+            best = best.min(estimate.estimated_total_seconds);
             estimates.push(estimate);
         }
 
@@ -252,18 +275,23 @@ impl Optimus {
         // within the adoption margin, but to survive a min-of-two the
         // burst would have to hit the same side twice and the other
         // side never. Unpaired candidates don't face a head-to-head
-        // margin decision, so their single pass stands.
+        // margin decision, so their single pass stands — and neither
+        // does a pair side beyond the cut, which is out of the running
+        // by more than the margin. A point-query second pass stops once
+        // it is slower than the first: it can no longer lower the
+        // minimum.
         for (idx, solver) in solvers.iter().enumerate() {
-            if !screen_paired[idx] {
+            let first = estimates[idx].sample_seconds;
+            if !screen_paired[idx] || first > cut_seconds(best) {
                 continue;
             }
-            let t0 = Instant::now();
-            let _ = solver.query_subset(k, &sample);
-            let second = t0.elapsed().as_secs_f64();
-            let e = &mut estimates[idx];
-            if second < e.sample_seconds {
+            let stop_after = if early { first } else { f64::INFINITY };
+            let (used, second, _) = timed_pass(*solver, k, &sample, None, stop_after);
+            if used == sample.len() && second < first {
+                let e = &mut estimates[idx];
                 e.sample_seconds = second;
                 e.estimated_total_seconds = second / sample.len() as f64 * n as f64;
+                best = best.min(e.estimated_total_seconds);
             }
         }
 
@@ -326,24 +354,17 @@ impl Optimus {
         let bmm = build(&BmmFactory);
         let built: Vec<Box<dyn MipsSolver>> = indexes.iter().map(|f| build(f.as_ref())).collect();
 
-        // Time BMM on the sample.
-        let t0 = Instant::now();
-        let bmm_results = bmm.query_subset(k, &sample);
-        let bmm_sample_seconds = t0.elapsed().as_secs_f64();
-        let bmm_per_user = bmm_sample_seconds / sample.len() as f64;
-        let mut estimates = vec![StrategyEstimate {
-            name: bmm.name().to_string(),
-            build_seconds: bmm.build_seconds(),
-            sampled_users: sample.len(),
-            sample_seconds: bmm_sample_seconds,
-            estimated_total_seconds: bmm_per_user * n as f64,
-        }];
-
-        // Time each index on the sample.
+        // Time BMM on the sample, then each index: point-query indexes
+        // under the t-test against BMM's mean per-user time.
+        let (bmm_estimate, bmm_results) =
+            self.estimate_index(bmm.as_ref(), k, &sample, n, None, f64::INFINITY);
+        let bmm_per_user = bmm_estimate.sample_seconds / sample.len() as f64;
+        let ttest = self.config.early_stopping.then_some(bmm_per_user);
+        let mut estimates = vec![bmm_estimate];
         let mut index_results: Vec<Option<Vec<TopKList>>> = Vec::new();
         for solver in &built {
             let (estimate, results) =
-                self.estimate_index(solver.as_ref(), k, &sample, bmm_per_user, n, false);
+                self.estimate_index(solver.as_ref(), k, &sample, n, ttest, f64::INFINITY);
             estimates.push(estimate);
             index_results.push(results);
         }
@@ -404,7 +425,7 @@ impl Optimus {
             built[chosen_idx - 1].as_ref()
         };
         let sampled_results: Option<Vec<TopKList>> = if chosen_idx == 0 {
-            Some(bmm_results)
+            bmm_results
         } else {
             index_results[chosen_idx - 1].take()
         };
@@ -434,62 +455,27 @@ impl Optimus {
         }
     }
 
-    /// Times one index on the sample. Batch indexes are timed on the whole
-    /// sample at once (their per-user cost is only meaningful with work
-    /// sharing); point-query indexes are timed user-by-user under the
-    /// incremental t-test, unless `full_sample` pins them to the whole
-    /// sample (used by [`Optimus::choose`] for screen-paired candidates,
-    /// whose estimates are compared head-to-head and must average over
-    /// the same user mix).
+    /// Times one candidate on the sample and extrapolates its total over
+    /// `n` users. Point-query candidates may stop early (see
+    /// [`timed_pass`]): under the one-sample t-test against `ttest_mean`,
+    /// BMM's mean per-user seconds, when given; and once their elapsed
+    /// time exceeds `stop_after` seconds.
     ///
     /// Returns the estimate and, when the full sample was processed, the
     /// sampled results for reuse.
-    #[allow(clippy::too_many_arguments)]
     fn estimate_index(
         &self,
         solver: &dyn MipsSolver,
         k: usize,
         sample: &[usize],
-        bmm_per_user: f64,
         n: usize,
-        full_sample: bool,
+        ttest_mean: Option<f64>,
+        stop_after: f64,
     ) -> (StrategyEstimate, Option<Vec<TopKList>>) {
-        if solver.batches_users() || full_sample || !self.config.early_stopping {
-            let t0 = Instant::now();
-            let results = solver.query_subset(k, sample);
-            let sample_seconds = t0.elapsed().as_secs_f64();
-            let per_user = sample_seconds / sample.len() as f64;
-            return (
-                StrategyEstimate {
-                    name: solver.name().to_string(),
-                    build_seconds: solver.build_seconds(),
-                    sampled_users: sample.len(),
-                    sample_seconds,
-                    estimated_total_seconds: per_user * n as f64,
-                },
-                Some(results),
-            );
-        }
-
-        // Point queries: incremental one-sample t-test against BMM's mean.
-        let mut ttest =
-            OneSampleTTest::new(bmm_per_user, self.config.alpha, self.config.min_t_samples);
-        let mut results = Vec::with_capacity(sample.len());
-        let mut sample_seconds = 0.0;
-        let mut used = 0;
-        for &u in sample {
-            let t0 = Instant::now();
-            let mut r = solver.query_subset(k, &[u]);
-            let dt = t0.elapsed().as_secs_f64();
-            sample_seconds += dt;
-            results.push(r.pop().expect("one result per user"));
-            used += 1;
-            if ttest.push(dt) != TTestDecision::Continue {
-                break;
-            }
-        }
+        let ttest = ttest_mean
+            .map(|mean| OneSampleTTest::new(mean, self.config.alpha, self.config.min_t_samples));
+        let (used, sample_seconds, results) = timed_pass(solver, k, sample, ttest, stop_after);
         let per_user = sample_seconds / used as f64;
-        let complete = used == sample.len();
         (
             StrategyEstimate {
                 name: solver.name().to_string(),
@@ -498,9 +484,55 @@ impl Optimus {
                 sample_seconds,
                 estimated_total_seconds: per_user * n as f64,
             },
-            complete.then_some(results),
+            (used == sample.len()).then_some(results),
         )
     }
+}
+
+/// One timed pass of `solver` over `sample`. Batch solvers are timed on
+/// the whole sample at once: their per-user cost is only meaningful with
+/// work sharing. So is a pass with no stopping rule. A point-query pass
+/// otherwise runs user by user and stops after the first user that
+/// settles `ttest` or takes its elapsed time past `stop_after` seconds.
+///
+/// Returns the users done, their elapsed seconds and their results.
+fn timed_pass(
+    solver: &dyn MipsSolver,
+    k: usize,
+    sample: &[usize],
+    mut ttest: Option<OneSampleTTest>,
+    stop_after: f64,
+) -> (usize, f64, Vec<TopKList>) {
+    if solver.batches_users() || (ttest.is_none() && stop_after.is_infinite()) {
+        let t0 = Instant::now();
+        let results = solver.query_subset(k, sample);
+        return (sample.len(), t0.elapsed().as_secs_f64(), results);
+    }
+    let mut results = Vec::with_capacity(sample.len());
+    let mut elapsed = 0.0;
+    for &u in sample {
+        let t0 = Instant::now();
+        let mut r = solver.query_subset(k, &[u]);
+        let dt = t0.elapsed().as_secs_f64();
+        elapsed += dt;
+        results.push(r.pop().expect("one result per user"));
+        let settled = ttest
+            .as_mut()
+            .is_some_and(|t| t.push(dt) != TTestDecision::Continue);
+        if settled || elapsed > stop_after {
+            break;
+        }
+    }
+    (results.len(), elapsed, results)
+}
+
+/// The estimate above which a candidate is dominated by one estimated at
+/// `best` seconds: it loses the argmin, and as the f64 base of a `+i8`
+/// winner it cannot demote that winner, since the screen is then below
+/// [`SCREEN_ADOPTION_MARGIN`] of it and saves more than
+/// [`SCREEN_ADOPTION_FLOOR_SECONDS`].
+fn dominance_cut(best: f64) -> f64 {
+    (best / SCREEN_ADOPTION_MARGIN).max(best + SCREEN_ADOPTION_FLOOR_SECONDS)
 }
 
 #[cfg(test)]
@@ -509,9 +541,11 @@ mod tests {
     use crate::bmm::BmmSolver;
     use crate::engine::registry::{FexiproFactory, LempFactory, MaximusFactory};
     use crate::maximus::MaximusConfig;
-    use crate::precision::ScanTier;
+    use crate::precision::{Precision, ScanTier};
+    use crate::sync::atomic::{AtomicUsize, Ordering};
     use mips_data::synth::{synth_model, SynthConfig};
     use mips_lemp::LempConfig;
+    use std::time::Duration;
 
     fn fac(factory: impl SolverFactory + 'static) -> Arc<dyn SolverFactory> {
         Arc::new(factory)
@@ -624,13 +658,73 @@ mod tests {
         assert!(fex.sampled_users <= outcome.sample_size);
     }
 
+    /// Delegates to a solver and counts the users it is asked for, so a
+    /// test can tell how many timing passes `choose` gave it.
+    struct Counting<'a> {
+        inner: &'a dyn MipsSolver,
+        users: AtomicUsize,
+    }
+
+    impl<'a> Counting<'a> {
+        fn new(inner: &'a dyn MipsSolver) -> Counting<'a> {
+            Counting {
+                inner,
+                users: AtomicUsize::new(0),
+            }
+        }
+
+        fn users(&self) -> usize {
+            self.users.load(Ordering::SeqCst)
+        }
+    }
+
+    impl MipsSolver for Counting<'_> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn build_seconds(&self) -> f64 {
+            self.inner.build_seconds()
+        }
+        fn batches_users(&self) -> bool {
+            self.inner.batches_users()
+        }
+        fn num_users(&self) -> usize {
+            self.inner.num_users()
+        }
+        fn query_range(&self, k: usize, users: std::ops::Range<usize>) -> Vec<TopKList> {
+            self.users.fetch_add(users.len(), Ordering::SeqCst);
+            self.inner.query_range(k, users)
+        }
+        fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
+            self.users.fetch_add(users.len(), Ordering::SeqCst);
+            self.inner.query_subset(k, users)
+        }
+        fn precision(&self) -> Precision {
+            self.inner.precision()
+        }
+    }
+
+    /// The argmin over the recorded estimates, as `choose` decides.
+    fn argmin(estimates: &[StrategyEstimate]) -> usize {
+        (0..estimates.len())
+            .min_by(|&a, &b| {
+                estimates[a]
+                    .estimated_total_seconds
+                    .total_cmp(&estimates[b].estimated_total_seconds)
+            })
+            .expect("at least one estimate")
+    }
+
     #[test]
     fn screen_paired_candidates_are_timed_on_the_full_sample() {
         // A `+i8` screen and its f64 base are compared head-to-head by
         // the adoption rule, so `choose` must not let the t-test stop
         // the two at different user counts (different user mixes bias
-        // the pair's comparison on norm-heterogeneous backends). Both
-        // sides of the pair must report the full sample; the unpaired
+        // the pair's comparison on norm-heterogeneous backends). A pair
+        // side that was not cut reports the full sample and gets its
+        // second pass; a side that was cut (or found beyond the cut
+        // before its second pass) reports an estimate above the cut of
+        // the best estimate, and ran no second pass. The unpaired
         // point-query candidate keeps early-stopped sampling (only
         // bounded here — whether it stops early is model-dependent).
         let m = model();
@@ -650,18 +744,271 @@ mod tests {
             Arc::clone(&m),
             &mips_fexipro::FexiproConfig::si(),
         );
+        let (lemp, lemp_screen) = (Counting::new(&lemp), Counting::new(&lemp_screen));
         let view = ModelView::full(&m);
         let choice = optimus.choose(&view, 3, &[&bmm, &lemp, &lemp_screen, &fex]);
-        for e in &choice.estimates {
-            if e.name == "LEMP" || e.name == "LEMP+i8" {
+        assert_eq!(choice.chosen, argmin(&choice.estimates));
+        let best = choice.estimates[choice.chosen].estimated_total_seconds;
+        let warm = choice.sample_size.min(4);
+        for (e, side) in choice.estimates[1..3].iter().zip([&lemp, &lemp_screen]) {
+            let timed = side.users() - warm;
+            if timed > e.sampled_users {
                 assert_eq!(
                     e.sampled_users, choice.sample_size,
-                    "{} must be timed on the whole sample",
+                    "{} was not cut, so it must be timed on the whole sample",
                     e.name
                 );
             } else {
-                assert!(e.sampled_users <= choice.sample_size);
+                assert!(
+                    e.estimated_total_seconds > dominance_cut(best),
+                    "{} ran one pass, so it must be dominated: {e:?}, best {best}",
+                    e.name
+                );
             }
+        }
+        assert!(choice.estimates[3].sampled_users <= choice.sample_size);
+    }
+
+    /// A planning-only stub backend: every call costs `per_user` of busy
+    /// wall time for each user asked for (one call per sample for a batch
+    /// stub, one per user otherwise), and the users asked for are counted.
+    /// Its answers are empty lists, so it is never served.
+    struct Stub {
+        name: String,
+        per_user: Duration,
+        batch: bool,
+        precision: Precision,
+        num_users: usize,
+        users: Arc<AtomicUsize>,
+    }
+
+    impl MipsSolver for Stub {
+        fn name(&self) -> &str {
+            &self.name
+        }
+        fn build_seconds(&self) -> f64 {
+            0.0
+        }
+        fn batches_users(&self) -> bool {
+            self.batch
+        }
+        fn num_users(&self) -> usize {
+            self.num_users
+        }
+        fn query_range(&self, k: usize, users: std::ops::Range<usize>) -> Vec<TopKList> {
+            self.query_subset(k, &users.collect::<Vec<_>>())
+        }
+        fn query_subset(&self, _k: usize, users: &[usize]) -> Vec<TopKList> {
+            self.users.fetch_add(users.len(), Ordering::SeqCst);
+            let cost = self.per_user * users.len() as u32;
+            let t0 = Instant::now();
+            while t0.elapsed() < cost {
+                std::hint::spin_loop();
+            }
+            vec![TopKList::empty(); users.len()]
+        }
+        fn precision(&self) -> Precision {
+            self.precision
+        }
+    }
+
+    /// Builds [`Stub`]s under `key`: a plain build costing `per_user`,
+    /// and, when `screen` is set, a `+i8` screen build costing that much.
+    struct StubFactory {
+        key: &'static str,
+        batch: bool,
+        per_user: Duration,
+        screen: Option<Duration>,
+        users: Arc<AtomicUsize>,
+        screen_users: Arc<AtomicUsize>,
+    }
+
+    impl StubFactory {
+        fn new(key: &'static str, batch: bool, per_user_us: u64) -> StubFactory {
+            StubFactory {
+                key,
+                batch,
+                per_user: Duration::from_micros(per_user_us),
+                screen: None,
+                users: Arc::default(),
+                screen_users: Arc::default(),
+            }
+        }
+
+        fn with_screen(mut self, per_user_us: u64) -> StubFactory {
+            self.screen = Some(Duration::from_micros(per_user_us));
+            self
+        }
+
+        fn stub(&self, view: &ModelView, screen: bool) -> Box<dyn MipsSolver> {
+            Box::new(Stub {
+                name: format!("{}{}", self.key, if screen { "+i8" } else { "" }),
+                per_user: if screen {
+                    self.screen.expect("screen build")
+                } else {
+                    self.per_user
+                },
+                batch: self.batch,
+                precision: if screen {
+                    Precision::I8Rescore
+                } else {
+                    Precision::F64
+                },
+                num_users: view.num_users(),
+                users: Arc::clone(if screen {
+                    &self.screen_users
+                } else {
+                    &self.users
+                }),
+            })
+        }
+    }
+
+    impl SolverFactory for StubFactory {
+        fn key(&self) -> &str {
+            self.key
+        }
+        fn build(&self, view: &ModelView) -> Result<Box<dyn MipsSolver>, crate::engine::MipsError> {
+            Ok(self.stub(view, false))
+        }
+        fn build_screen(
+            &self,
+            view: &ModelView,
+        ) -> Option<Result<Box<dyn MipsSolver>, crate::engine::MipsError>> {
+            self.screen.map(|_| Ok(self.stub(view, true)))
+        }
+    }
+
+    /// Plans k = 1 under `Precision::Auto` over `num_users` users with the
+    /// given stub backends, sampling `sample_fraction` of them (the tiny
+    /// cache keeps the L2 floor at 64 users at f = 4).
+    fn plan_stubs(
+        num_users: usize,
+        sample_fraction: f64,
+        early_stopping: bool,
+        stubs: &[Arc<StubFactory>],
+    ) -> Arc<crate::engine::PreparedPlan> {
+        let model = Arc::new(synth_model(&SynthConfig {
+            num_users,
+            num_items: 16,
+            num_factors: 4,
+            ..SynthConfig::default()
+        }));
+        let mut builder = crate::engine::EngineBuilder::new()
+            .model(model)
+            .precision(Precision::Auto)
+            .optimus(OptimusConfig {
+                sample_fraction,
+                early_stopping,
+                ..tiny_config()
+            });
+        for stub in stubs {
+            builder = builder.register_arc(Arc::clone(stub) as Arc<dyn SolverFactory>);
+        }
+        builder.build().unwrap().prepare(1).unwrap()
+    }
+
+    fn estimate<'a>(plan: &'a crate::engine::PreparedPlan, name: &str) -> &'a StrategyEstimate {
+        plan.estimates()
+            .iter()
+            .find(|e| e.name == name)
+            .unwrap_or_else(|| panic!("no estimate for {name}"))
+    }
+
+    #[test]
+    fn dominated_pair_stops_short_and_skips_its_second_pass() {
+        // 256 users, 64 sampled: the reference's batch pass takes ~13 ms,
+        // so the cut in sample seconds is ~15 ms and a 2 ms/user point
+        // query crosses it after ~8 users — an order of magnitude from
+        // either side of every boundary.
+        let reference = Arc::new(StubFactory::new("ref", true, 200));
+        let slow = Arc::new(StubFactory::new("slow", false, 2_000).with_screen(2_000));
+        let plan = plan_stubs(
+            256,
+            0.25,
+            true,
+            &[Arc::clone(&reference), Arc::clone(&slow)],
+        );
+        let sample = plan.sample_size();
+        assert_eq!(sample, 64);
+        assert_eq!(plan.backend_key(), "ref");
+        assert_eq!(plan.estimates()[argmin(plan.estimates())].name, "ref");
+        let best = estimate(&plan, "ref").estimated_total_seconds;
+        let warm = 4;
+        for (name, users) in [("slow", &slow.users), ("slow+i8", &slow.screen_users)] {
+            let e = estimate(&plan, name);
+            assert!(e.sampled_users < sample, "{name} was not cut: {e:?}");
+            assert!(
+                e.estimated_total_seconds > dominance_cut(best),
+                "{name}'s estimate must exceed the cut: {e:?}, best {best}"
+            );
+            assert_eq!(
+                users.load(Ordering::SeqCst),
+                warm + e.sampled_users,
+                "{name} must get no second pass"
+            );
+        }
+        // The unpaired reference ran its warm-up and one whole pass.
+        assert_eq!(reference.users.load(Ordering::SeqCst), warm + sample);
+    }
+
+    #[test]
+    fn screen_winner_keeps_the_plan_when_its_base_was_cut() {
+        // The base is timed before its screen, against the reference
+        // alone, and is cut; the screen then wins by far more than the
+        // adoption margin, so the cut base must not demote it.
+        let reference = Arc::new(StubFactory::new("ref", true, 200));
+        let slow = Arc::new(StubFactory::new("slow", false, 2_000).with_screen(10));
+        let plan = plan_stubs(256, 0.25, true, &[reference, Arc::clone(&slow)]);
+        let base = estimate(&plan, "slow");
+        assert!(base.sampled_users < plan.sample_size(), "{base:?}");
+        assert_eq!(slow.users.load(Ordering::SeqCst), 4 + base.sampled_users);
+        assert_eq!(plan.backend_key(), "slow+i8");
+        assert_eq!(plan.precision(), Precision::I8Rescore);
+        assert_eq!(plan.estimates()[argmin(plan.estimates())].name, "slow+i8");
+        let screen = estimate(&plan, "slow+i8");
+        assert_eq!(screen.sampled_users, plan.sample_size());
+        assert!(base.estimated_total_seconds > dominance_cut(screen.estimated_total_seconds));
+    }
+
+    #[test]
+    fn without_early_stopping_every_candidate_is_timed_in_full() {
+        let reference = Arc::new(StubFactory::new("ref", true, 200));
+        let slow = Arc::new(StubFactory::new("slow", false, 400).with_screen(400));
+        let plan = plan_stubs(256, 0.25, false, &[reference, Arc::clone(&slow)]);
+        let sample = plan.sample_size();
+        for e in plan.estimates() {
+            assert_eq!(e.sampled_users, sample, "{e:?}");
+        }
+        // Both sides of the pair ran their warm-up and two whole passes.
+        for users in [&slow.users, &slow.screen_users] {
+            assert_eq!(users.load(Ordering::SeqCst), 4 + 2 * sample);
+        }
+    }
+
+    #[test]
+    fn pair_sides_within_the_cut_get_their_second_pass() {
+        // An evenly matched pair of near-free point queries: a pass takes
+        // microseconds, and the cut sits the 500 µs adoption floor above
+        // the best estimate, so both sides are within it unless a stall
+        // that long lands inside a microseconds-long pass.
+        let reference = Arc::new(StubFactory::new("ref", true, 30));
+        let even = Arc::new(StubFactory::new("even", false, 0).with_screen(0));
+        let plan = plan_stubs(64, 1.0, true, &[reference, Arc::clone(&even)]);
+        let sample = plan.sample_size();
+        assert_eq!(sample, 64);
+        let best = plan.estimates()[argmin(plan.estimates())].estimated_total_seconds;
+        for (name, users) in [("even", &even.users), ("even+i8", &even.screen_users)] {
+            let e = estimate(&plan, name);
+            assert!(
+                e.estimated_total_seconds <= dominance_cut(best),
+                "{name} must be within the cut: {e:?}, best {best}"
+            );
+            assert_eq!(e.sampled_users, sample, "{e:?}");
+            assert!(
+                users.load(Ordering::SeqCst) > 4 + sample,
+                "{name} must get its second pass"
+            );
         }
     }
 

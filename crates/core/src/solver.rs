@@ -2,6 +2,7 @@
 
 use crate::precision::Precision;
 use mips_topk::TopKList;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -20,8 +21,9 @@ pub trait MipsSolver: Send + Sync {
     fn build_seconds(&self) -> f64;
 
     /// `true` if the solver shares work across users in a batch (BMM,
-    /// MAXIMUS). OPTIMUS may only apply its per-user t-test early stopping
-    /// to solvers that return `false` (§IV-A).
+    /// MAXIMUS). OPTIMUS times only solvers that return `false` user by
+    /// user, so only they may be stopped early, by its t-test (§IV-A) or
+    /// its dominance cut; a batch solver is timed on the whole sample.
     fn batches_users(&self) -> bool;
 
     /// Number of users of the underlying model.
@@ -93,9 +95,13 @@ pub struct ScreenTallyCells {
 }
 
 impl ScreenTallyCells {
-    /// Adds one scan's counts.
+    /// Adds one scan's counts, unless the calling thread is sampling for
+    /// the planner: OPTIMUS's timing passes are not served work.
     pub fn record(&self, screened: u64, rescored: u64) {
         use crate::sync::atomic::Ordering;
+        if PLANNING.with(Cell::get) {
+            return;
+        }
         if screened > 0 {
             self.screened.fetch_add(screened, Ordering::Relaxed);
         }
@@ -111,6 +117,39 @@ impl ScreenTallyCells {
             screened: self.screened.swap(0, Ordering::Relaxed),
             rescored: self.rescored.swap(0, Ordering::Relaxed),
         }
+    }
+}
+
+thread_local! {
+    static PLANNING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as sampling for the planner until dropped.
+///
+/// Solvers are cached per epoch and shared across `k`, so OPTIMUS samples
+/// the very solvers that serve. [`ScreenTallyCells::record`] ignores
+/// scans on a marked thread, which keeps planner work out of the served
+/// screen counters. Solvers scan on the calling thread, so marking it
+/// covers every sampling pass. Not draining the cells after planning is
+/// deliberate: a drain would also take counts a concurrent worker has
+/// served and not yet collected.
+pub(crate) struct PlanningGuard {
+    previous: bool,
+}
+
+impl PlanningGuard {
+    /// Marks the current thread until the guard drops.
+    pub(crate) fn enter() -> PlanningGuard {
+        PlanningGuard {
+            previous: PLANNING.with(|p| p.replace(true)),
+        }
+    }
+}
+
+impl Drop for PlanningGuard {
+    fn drop(&mut self) {
+        // `try_with`: a drop must not panic, even during thread teardown.
+        let _ = PLANNING.try_with(|p| p.set(self.previous));
     }
 }
 

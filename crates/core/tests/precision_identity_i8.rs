@@ -15,11 +15,13 @@
 //! over the portable kernels.
 
 use mips_core::engine::{
-    BackendRegistry, Engine, EngineBuilder, IndexScope, QueryRequest, QueryResponse,
+    BackendRegistry, Engine, EngineBuilder, IndexScope, MipsError, QueryRequest, QueryResponse,
+    SolverFactory,
 };
 use mips_core::precision::Precision;
 use mips_core::serve::ServerBuilder;
-use mips_data::MfModel;
+use mips_core::solver::{MipsSolver, ScreenTally};
+use mips_data::{MfModel, ModelView};
 use mips_linalg::Matrix;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -367,6 +369,50 @@ fn serve_metrics_report_screen_candidates_and_survivors_per_mode() {
                 .sum::<u64>(),
             candidates
         );
+    }
+}
+
+/// Planning is not serving: OPTIMUS samples the very solvers an epoch
+/// caches for serving, and that sampling must not reach their screen
+/// counters, or the first served batch would drain it into `/metrics` —
+/// work done for plans the solver may even have lost. The engine plans
+/// between two keys for the BMM screen, which tallies every score it
+/// screens, so whichever wins would carry the sampling.
+#[test]
+fn planner_sampling_stays_out_of_the_screen_counters() {
+    struct Twin(Arc<dyn SolverFactory>);
+    impl SolverFactory for Twin {
+        fn key(&self) -> &str {
+            "bmm-twin"
+        }
+        fn build(&self, view: &ModelView) -> Result<Box<dyn MipsSolver>, MipsError> {
+            self.0.build(view)
+        }
+        fn build_screen(&self, view: &ModelView) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
+            self.0.build_screen(view)
+        }
+    }
+    let registry = BackendRegistry::with_defaults();
+    let bmm = registry
+        .factories()
+        .iter()
+        .find(|f| f.key() == "bmm")
+        .expect("bmm is a default backend");
+    let engine = EngineBuilder::new()
+        .model(random_model(300, 400, 8, 11))
+        .register_arc(Arc::clone(bmm))
+        .register(Twin(Arc::clone(bmm)))
+        .precision(Precision::I8Rescore)
+        .build()
+        .unwrap();
+    for k in [1, 10] {
+        let plan = engine.prepare(k).unwrap();
+        assert_eq!(plan.estimates().len(), 2, "both screens were sampled");
+        let tally = plan
+            .solver()
+            .take_screen_stats()
+            .expect("the BMM screen reports its counters");
+        assert_eq!(tally, ScreenTally::default(), "k={k}: sampling was counted");
     }
 }
 
