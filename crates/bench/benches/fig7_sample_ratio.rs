@@ -14,8 +14,8 @@
 //!   well under 1 % of users.
 
 use mips_bench::{build_model, figure5_backends, fmt_secs, mean, std_dev, BenchBackend, Table};
-use mips_core::engine::{LempFactory, SolverFactory};
-use mips_core::optimus::{Optimus, OptimusConfig};
+use mips_core::engine::{BmmFactory, EngineBuilder, LempFactory, SolverFactory};
+use mips_core::optimus::OptimusConfig;
 use mips_data::catalog::find;
 use mips_lemp::LempConfig;
 use std::sync::Arc;
@@ -67,7 +67,7 @@ fn main() {
         let mut sampled_users = 0;
         let mut right_side = 0usize;
         for run in 0..runs_per_ratio {
-            let optimus = Optimus::new(OptimusConfig {
+            let optimus = OptimusConfig {
                 sample_fraction: ratio,
                 // Tiny cache floor: let the ratio drive the sample size so
                 // the sweep actually varies (the real floor would clamp the
@@ -80,39 +80,37 @@ fn main() {
                 early_stopping: false, // full-sample estimates, as in Fig. 7
                 seed: 0xF1607 + run as u64,
                 ..OptimusConfig::default()
-            });
+            };
+            let mut builder = EngineBuilder::new()
+                .model(Arc::clone(&model))
+                .register(BmmFactory)
+                .optimus(optimus);
             // Rebuild LEMP with a run-specific tuner seed: the original
             // system re-tunes per run, which is the variance source.
-            let run_indexes: Vec<Arc<dyn SolverFactory>> = indexes
-                .iter()
-                .map(|b| -> Arc<dyn SolverFactory> {
-                    if b.key == "lemp" {
-                        let cfg = LempConfig::default();
-                        Arc::new(LempFactory::new(LempConfig {
-                            seed: cfg.seed + 7919 * run as u64,
-                            ..cfg
-                        }))
-                    } else {
-                        Arc::clone(&b.factory)
-                    }
-                })
-                .collect();
-            let estimates = optimus.estimate_only(&model, k, &run_indexes);
-            sampled_users = estimates[0].sampled_users;
-            for (i, e) in estimates.iter().enumerate() {
+            for b in &indexes {
+                let factory: Arc<dyn SolverFactory> = if b.key == "lemp" {
+                    let cfg = LempConfig::default();
+                    Arc::new(LempFactory::new(LempConfig {
+                        seed: cfg.seed + 7919 * run as u64,
+                        ..cfg
+                    }))
+                } else {
+                    Arc::clone(&b.factory)
+                };
+                builder = builder.register_arc(factory);
+            }
+            let plan = builder
+                .build()
+                .expect("bench engine assembles")
+                .prepare(k)
+                .expect("valid bench k");
+            // Estimates come in registration order: BMM, then the legend.
+            sampled_users = plan.estimates()[0].sampled_users;
+            for (i, e) in plan.estimates().iter().enumerate() {
                 series[i].push(e.estimated_total_seconds);
             }
             // Did this run pick an index over BMM (the correct side here)?
-            let best = estimates
-                .iter()
-                .enumerate()
-                .min_by(|a, b| {
-                    a.1.estimated_total_seconds
-                        .total_cmp(&b.1.estimated_total_seconds)
-                })
-                .unwrap()
-                .0;
-            if best != 0 {
+            if plan.backend_key() != "bmm" {
                 right_side += 1;
             }
         }

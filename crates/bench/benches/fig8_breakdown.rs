@@ -8,9 +8,8 @@
 //! stages a small fraction of the total.
 
 use mips_bench::{build_model, fmt_secs, maximus_config, time_seconds, Table};
-use mips_core::engine::{MaximusFactory, SolverFactory};
+use mips_core::engine::{BmmFactory, EngineBuilder, MaximusFactory};
 use mips_core::maximus::{MaximusConfig, MaximusIndex};
-use mips_core::optimus::{Optimus, OptimusConfig};
 use mips_core::solver::MipsSolver;
 use mips_core::ScanTier;
 use mips_data::catalog::find;
@@ -40,10 +39,17 @@ fn main() {
             let index = MaximusIndex::build(Arc::clone(&model), &cfg, ScanTier::F64);
             let build = index.build_stats();
 
-            // Cost estimation: OPTIMUS's sampling phase for this index.
-            let optimus = Optimus::new(OptimusConfig::default());
-            let candidates: [Arc<dyn SolverFactory>; 1] = [Arc::new(MaximusFactory::new(cfg))];
-            let (estimation, _) = time_seconds(|| optimus.estimate_only(&model, 1, &candidates));
+            // Cost estimation: OPTIMUS's sampling phase, BMM against this
+            // index (the builds are the two columns before).
+            let estimation = EngineBuilder::new()
+                .model(Arc::clone(&model))
+                .register(BmmFactory)
+                .register(MaximusFactory::new(cfg))
+                .build()
+                .expect("bench engine assembles")
+                .prepare(1)
+                .expect("valid bench k")
+                .decision_seconds();
 
             let (traversal, _) = time_seconds(|| index.query_all(1));
             traversal_by_blocking[slot] = traversal;

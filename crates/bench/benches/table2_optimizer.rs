@@ -13,8 +13,8 @@
 //! OPTIMUS within ~12 % of the oracle.
 
 use mips_bench::{build_model, figure5_backends, mean, std_dev, BenchBackend, Table, PAPER_KS};
-use mips_core::engine::SolverFactory;
-use mips_core::optimus::{Optimus, OptimusConfig};
+use mips_core::engine::{EngineBuilder, QueryRequest};
+use mips_core::optimus::OptimusConfig;
 use mips_data::catalog::reference_models;
 use std::sync::Arc;
 use std::time::Instant;
@@ -78,10 +78,6 @@ fn main() {
             let times = measure_all(&model, &backends, k);
             let lemp_baseline = times[2];
             for (p, (_, index_ids)) in pairings.iter().enumerate() {
-                let candidates: Vec<Arc<dyn SolverFactory>> = index_ids
-                    .iter()
-                    .map(|&i| Arc::clone(&backends[i].factory))
-                    .collect();
                 // True best among BMM + these indexes.
                 let candidate_times: Vec<f64> = std::iter::once(times[0])
                     .chain(index_ids.iter().map(|&i| times[i]))
@@ -104,7 +100,7 @@ fn main() {
                 // L2-occupancy floor assumes ≥480k users and would swallow
                 // 13-30% of our miniature user sets, so the bench shrinks
                 // the floor along with everything else (see EXPERIMENTS.md).
-                let optimus = Optimus::new(OptimusConfig {
+                let optimus = OptimusConfig {
                     sample_fraction: 0.01,
                     cache: mips_linalg::CacheConfig {
                         l1_bytes: 1024,
@@ -112,14 +108,26 @@ fn main() {
                         l3_bytes: 4096,
                     },
                     ..OptimusConfig::default()
-                });
+                };
+                let mut builder = EngineBuilder::new()
+                    .model(Arc::clone(&model))
+                    .optimus(optimus);
+                for i in std::iter::once(0).chain(index_ids.iter().copied()) {
+                    builder = builder.register_arc(Arc::clone(&backends[i].factory));
+                }
+                let engine = builder.build().expect("bench engine assembles");
+                // Planning (index builds and sampling) plus serving every
+                // user with the winner.
                 let t0 = Instant::now();
-                let outcome = optimus.run(&model, k, &candidates);
+                let response = engine
+                    .execute(&QueryRequest::top_k(k))
+                    .expect("valid bench request");
                 let optimus_total = t0.elapsed().as_secs_f64();
+                assert_eq!(response.results.len(), model.num_users());
 
                 let acc = &mut accs[p];
                 acc.total += 1;
-                if outcome.chosen == best_name {
+                if response.backend == best_name {
                     acc.correct += 1;
                 }
                 acc.overheads

@@ -65,7 +65,7 @@ pub use request::{
 };
 pub use scope::IndexScope;
 
-use crate::optimus::{Optimus, OptimusConfig, PlannedChoice};
+use crate::optimus::{Candidate, Optimus, OptimusConfig};
 use crate::parallel::{par_query_range, par_query_subset};
 use crate::precision::Precision;
 use crate::solver::MipsSolver;
@@ -130,6 +130,18 @@ impl EngineOptions {
         if !(f > 0.0 && f <= 1.0) {
             return Err(MipsError::InvalidConfig(format!(
                 "optimus.sample_fraction must be in (0, 1], got {f}"
+            )));
+        }
+        let alpha = self.optimus.alpha;
+        if !(alpha > 0.0 && alpha < 1.0) {
+            return Err(MipsError::InvalidConfig(format!(
+                "optimus.alpha must be in (0, 1), got {alpha}"
+            )));
+        }
+        if self.optimus.min_t_samples < 2 {
+            return Err(MipsError::InvalidConfig(format!(
+                "optimus.min_t_samples must be at least 2, got {}",
+                self.optimus.min_t_samples
             )));
         }
         self.sparse
@@ -267,60 +279,18 @@ impl EngineBuilder {
 }
 
 /// Cache-key suffix for the int8 screen tier: the epoch's solver tier
-/// stores the screen build of backend `"bmm"` under `"bmm+i8"`, and Auto
-/// plans label screen candidates with the same suffixed key in their
-/// estimates.
+/// stores the screen build of backend `"bmm"` under `"bmm+i8"`, and an
+/// Auto plan won by that screen build reports the same suffixed key as
+/// its [`PreparedPlan::backend_key`]. The planner never reads it.
 pub(crate) const SCREEN_I8_SUFFIX: &str = "+i8";
 
-/// Planner candidates: backend keys (suffixed for Auto's screen variants),
-/// each with the solver it dispatches to.
-type PlanCandidates = Vec<(String, Arc<dyn MipsSolver>)>;
-
-/// Under `Auto`, a `+i8` screen variant displaces its own f64 build only
-/// when its sampled estimate is at most this fraction of the base's — i.e.
-/// clearly faster, not within sampling noise of a tie. See
-/// [`demote_marginal_screen_winner`] for the asymmetry argument that
-/// justifies favouring the exact-direct incumbent.
-pub(crate) const SCREEN_ADOPTION_MARGIN: f64 = 0.85;
-
-/// The screen must also be estimated to save at least this much absolute
-/// wall-clock before it displaces its f64 base. Sub-millisecond requests
-/// finish inside the sampling noise floor: a relative margin alone still
-/// adopts on a "30 µs vs 40 µs" sample, where the decision is pure noise
-/// and the upside — even when real — is microseconds. Seconds-scale
-/// requests (where the screen genuinely pays) clear this floor by orders
-/// of magnitude.
-pub(crate) const SCREEN_ADOPTION_FLOOR_SECONDS: f64 = 500e-6;
-
-/// Screen-adoption margin: under `Auto` a screen variant competes against
-/// its own f64 build, and the two run the identical access pattern — their
-/// sampled estimates differ by the screen's true advantage plus sampling
-/// noise. Adopting the screen on a hair's-breadth estimate trades bounded
-/// upside for an unbounded noise regression, so the exact-direct incumbent
-/// keeps the plan unless the screen is estimated clearly faster — below
-/// [`SCREEN_ADOPTION_MARGIN`] of the base's time *and* saving at least
-/// [`SCREEN_ADOPTION_FLOOR_SECONDS`] of absolute wall-clock. A wrongly
-/// kept incumbent forgoes at most the margin; a wrongly adopted screen
-/// can serve arbitrarily slower than the committed f64 baseline.
-///
-/// `chosen` must index a `+i8` estimate; returns the index of its f64
-/// base when the winner should be demoted to it, `None` when the screen
-/// keeps the plan (clearly faster, or no base twin competed — the forced
-/// `I8Rescore` mode, where screens run under plain keys).
-fn demote_marginal_screen_winner(
-    estimates: &[crate::optimus::StrategyEstimate],
-    chosen: usize,
-) -> Option<usize> {
-    let screen = &estimates[chosen];
-    let base_name = screen.name.strip_suffix(SCREEN_I8_SUFFIX)?;
-    estimates
-        .iter()
-        .position(|e| e.name == base_name)
-        .filter(|&i| {
-            let base = estimates[i].estimated_total_seconds;
-            screen.estimated_total_seconds > SCREEN_ADOPTION_MARGIN * base
-                || base - screen.estimated_total_seconds < SCREEN_ADOPTION_FLOOR_SECONDS
-        })
+/// One planner candidate: the backend key it serves under (suffixed for
+/// Auto's screen variants), the solver it dispatches to, and, for Auto's
+/// screen variant, the index of its f64 build in the same candidate list.
+struct PlanCandidate {
+    key: String,
+    solver: Arc<dyn MipsSolver>,
+    screen_of: Option<usize>,
 }
 
 /// Locks a cache mutex, recovering from poisoning: if a (custom) factory
@@ -547,38 +517,45 @@ impl Engine {
         })
     }
 
-    /// The candidates `key` contributes over `users` under the engine's
-    /// precision mode: [`Precision::F64`] gives the plain build;
-    /// [`Precision::I8Rescore`] substitutes the screen build when the
-    /// backend has one (labelled with the plain key — the mode is forced,
-    /// not competed); and [`Precision::Auto`] adds the screen build as an
-    /// **extra** candidate labelled `"<key>+i8"`, so OPTIMUS prices the two
-    /// modes against each other.
+    /// Appends to `out` the candidates `key` contributes over `users`
+    /// under the engine's precision mode: [`Precision::F64`] gives the
+    /// plain build; [`Precision::I8Rescore`] substitutes the screen build
+    /// when the backend has one (labelled with the plain key — the mode is
+    /// forced, not competed); and [`Precision::Auto`] adds the screen build
+    /// as an **extra** candidate labelled `"<key>+i8"` and paired with the
+    /// plain build, so OPTIMUS prices the two modes against each other.
     fn mode_candidates(
         &self,
         state: &ModelEpoch,
         users: &Range<usize>,
         key: &str,
         stats: &mut ShardBuildStats,
-    ) -> Result<PlanCandidates, MipsError> {
+        out: &mut Vec<PlanCandidate>,
+    ) -> Result<(), MipsError> {
         let mut build = |screen| self.cached_solver(state, users, key, screen, stats);
-        Ok(match self.config.precision {
-            Precision::F64 => vec![(key.to_string(), plain(build(false)?))],
-            Precision::I8Rescore => {
-                let solver = match build(true)? {
-                    Some(screen) => screen,
-                    None => plain(build(false)?),
-                };
-                vec![(key.to_string(), solver)]
+        let base = out.len();
+        let solver = match self.config.precision {
+            Precision::F64 | Precision::Auto => plain(build(false)?),
+            Precision::I8Rescore => match build(true)? {
+                Some(screen) => screen,
+                None => plain(build(false)?),
+            },
+        };
+        out.push(PlanCandidate {
+            key: key.to_string(),
+            solver,
+            screen_of: None,
+        });
+        if self.config.precision == Precision::Auto {
+            if let Some(screen) = build(true)? {
+                out.push(PlanCandidate {
+                    key: format!("{key}{SCREEN_I8_SUFFIX}"),
+                    solver: screen,
+                    screen_of: Some(base),
+                });
             }
-            Precision::Auto => {
-                let mut out = vec![(key.to_string(), plain(build(false)?))];
-                if let Some(screen) = build(true)? {
-                    out.push((format!("{key}{SCREEN_I8_SUFFIX}"), screen));
-                }
-                out
-            }
-        })
+        }
+        Ok(())
     }
 
     /// Serves a request with an explicitly named backend — no planning.
@@ -597,9 +574,10 @@ impl Engine {
             self.solver_on(&state, key)?
         } else {
             let users = state.all_users();
-            let mut only =
-                self.mode_candidates(&state, &users, key, &mut ShardBuildStats::default())?;
-            only.swap_remove(0).1
+            let mut only = Vec::new();
+            let mut stats = ShardBuildStats::default();
+            self.mode_candidates(&state, &users, key, &mut stats, &mut only)?;
+            only.swap_remove(0).solver
         };
         serve(
             &state.model,
@@ -715,18 +693,33 @@ impl Engine {
             Arc::clone(map.entry(((users.start, users.end), k, auto)).or_default())
         };
         get_or_build(&cell, || {
-            let mut candidates = PlanCandidates::new();
+            let mut candidates = Vec::new();
             if auto {
                 let global = self.global_plan(state, k)?;
-                candidates.push((global.backend_key.clone(), Arc::clone(&global.winner)));
+                candidates.push(PlanCandidate {
+                    key: global.backend_key.clone(),
+                    solver: Arc::clone(&global.winner),
+                    screen_of: None,
+                });
             }
             for key in self.registry.keys() {
-                candidates.extend(self.mode_candidates(state, users, key, stats)?);
+                self.mode_candidates(state, users, key, stats, &mut candidates)?;
             }
             self.planner_runs.fetch_add(1, Ordering::SeqCst);
             let view = ModelView::of_range(&state.model, users.clone());
-            let choice = self.run_planner(&view, k, &candidates);
-            let (backend_key, winner) = candidates.swap_remove(choice.chosen);
+            let inputs: Vec<Candidate<'_>> = candidates
+                .iter()
+                .map(|c| Candidate {
+                    solver: c.solver.as_ref(),
+                    screen_of: c.screen_of,
+                })
+                .collect();
+            let choice = Optimus::new(self.config.optimus).choose(&view, k, &inputs);
+            let PlanCandidate {
+                key: backend_key,
+                solver: winner,
+                ..
+            } = candidates.swap_remove(choice.chosen);
             Ok(Arc::new(PreparedPlan {
                 model: Arc::clone(&state.model),
                 precision: winner.precision(),
@@ -744,43 +737,6 @@ impl Engine {
                 local_index: !full && choice.chosen >= usize::from(auto),
             }))
         })
-    }
-
-    /// Runs OPTIMUS over the candidate set, reordered so its t-test timing
-    /// reference is the first batch-capable candidate (BMM-like) when one
-    /// is present — regardless of input order. The returned choice indexes
-    /// the winner **in the input order**. A single candidate wins without
-    /// sampling (no estimates, sample size 0).
-    fn run_planner(
-        &self,
-        view: &ModelView,
-        k: usize,
-        candidates: &[(String, Arc<dyn MipsSolver>)],
-    ) -> PlannedChoice {
-        if candidates.len() == 1 {
-            return PlannedChoice {
-                chosen: 0,
-                estimates: Vec::new(),
-                sample_size: 0,
-                decision_seconds: 0.0,
-            };
-        }
-        let mut order: Vec<usize> = (0..candidates.len()).collect();
-        if let Some(batch) = candidates.iter().position(|(_, s)| s.batches_users()) {
-            order.remove(batch);
-            order.insert(0, batch);
-        }
-        let optimus = Optimus::new(self.config.optimus);
-        let refs: Vec<&dyn MipsSolver> = order.iter().map(|&i| candidates[i].1.as_ref()).collect();
-        let mut choice = optimus.choose(view, k, &refs);
-
-        if refs[choice.chosen].precision() == Precision::I8Rescore {
-            if let Some(base) = demote_marginal_screen_winner(&choice.estimates, choice.chosen) {
-                choice.chosen = base;
-            }
-        }
-        choice.chosen = order[choice.chosen];
-        choice
     }
 }
 
@@ -1007,6 +963,39 @@ mod tests {
                 .unwrap_err(),
             MipsError::DuplicateBackend { key: "bmm".into() }
         );
+        // Planner settings the t-test cannot run with fail the build, not
+        // the first plan.
+        let bad_optimus = [
+            OptimusConfig {
+                alpha: 0.0,
+                ..OptimusConfig::default()
+            },
+            OptimusConfig {
+                alpha: 1.5,
+                ..OptimusConfig::default()
+            },
+            OptimusConfig {
+                alpha: f64::NAN,
+                ..OptimusConfig::default()
+            },
+            OptimusConfig {
+                min_t_samples: 1,
+                ..OptimusConfig::default()
+            },
+        ];
+        for optimus in bad_optimus {
+            assert!(
+                matches!(
+                    EngineBuilder::new()
+                        .model(model(4, 6))
+                        .with_default_backends()
+                        .optimus(optimus)
+                        .build(),
+                    Err(MipsError::InvalidConfig(_))
+                ),
+                "{optimus:?}"
+            );
+        }
     }
 
     #[test]
@@ -1361,21 +1350,74 @@ mod tests {
         assert!(plan.sample_size() >= 2);
     }
 
+    /// Delegates to a built solver and logs its name at every query, so a
+    /// test can see the order the planner times candidates in.
+    struct Logged {
+        inner: Box<dyn MipsSolver>,
+        log: Arc<Mutex<Vec<String>>>,
+    }
+
+    impl MipsSolver for Logged {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn build_seconds(&self) -> f64 {
+            self.inner.build_seconds()
+        }
+        fn batches_users(&self) -> bool {
+            self.inner.batches_users()
+        }
+        fn num_users(&self) -> usize {
+            self.inner.num_users()
+        }
+        fn query_range(&self, k: usize, users: Range<usize>) -> Vec<TopKList> {
+            lock_recovering(&self.log).push(self.name().to_string());
+            self.inner.query_range(k, users)
+        }
+        fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
+            lock_recovering(&self.log).push(self.name().to_string());
+            self.inner.query_subset(k, users)
+        }
+    }
+
+    /// `factory` registered under its own key, its solvers [`Logged`]
+    /// into `log`.
+    fn logged(
+        factory: impl SolverFactory + 'static,
+        log: &Arc<Mutex<Vec<String>>>,
+    ) -> impl SolverFactory {
+        let log = Arc::clone(log);
+        FnFactory::new(factory.key().to_string(), move |m: &Arc<MfModel>| {
+            let inner = factory.build(&ModelView::full(m))?;
+            let solver: Box<dyn MipsSolver> = Box::new(Logged {
+                inner,
+                log: Arc::clone(&log),
+            });
+            Ok(solver)
+        })
+    }
+
     #[test]
     fn planner_reference_is_the_batch_backend_regardless_of_registration_order() {
         // A point-query backend registered first must not become the
         // t-test timing reference: the planner samples the first
         // batch-capable backend first.
+        let log = Arc::new(Mutex::new(Vec::new()));
         let engine = EngineBuilder::new()
             .model(model(120, 60))
-            .register(FexiproFactory::si())
-            .register(BmmFactory)
+            .register(logged(FexiproFactory::si(), &log))
+            .register(logged(BmmFactory, &log))
             .optimus(tiny_optimus())
             .build()
             .unwrap();
         let plan = engine.prepare(3).unwrap();
-        assert_eq!(plan.estimates()[0].name, "Blocked MM");
-        assert_eq!(plan.estimates().len(), 2);
+        let queried = lock_recovering(&log).clone();
+        assert_eq!(queried.first().map(String::as_str), Some("Blocked MM"));
+        assert!(queried.iter().any(|name| name == "FEXIPRO-SI"));
+        // Estimates come back in registration order, whatever the timing
+        // order was.
+        let names: Vec<&str> = plan.estimates().iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["FEXIPRO-SI", "Blocked MM"]);
         assert!(["bmm", "fexipro-si"].contains(&plan.backend_key()));
     }
 
@@ -1695,39 +1737,6 @@ mod tests {
         // and the response says so.
         assert_eq!(response.precision, Precision::F64);
         assert_eq!(response.backend, "FEXIPRO-SI");
-    }
-
-    #[test]
-    fn screen_winner_within_margin_is_demoted_to_its_f64_base() {
-        let estimate = |name: &str, secs: f64| crate::optimus::StrategyEstimate {
-            name: name.to_string(),
-            build_seconds: 0.0,
-            sampled_users: 8,
-            sample_seconds: secs / 10.0,
-            estimated_total_seconds: secs,
-        };
-        // Screen barely ahead of its base (within the noise margin): the
-        // exact-direct incumbent keeps the plan.
-        let noisy = [estimate("LEMP", 1.00), estimate("LEMP+i8", 0.95)];
-        assert_eq!(demote_marginal_screen_winner(&noisy, 1), Some(0));
-        // Screen clearly faster than the margin: adoption stands.
-        let clear = [estimate("LEMP", 1.00), estimate("LEMP+i8", 0.60)];
-        assert_eq!(demote_marginal_screen_winner(&clear, 1), None);
-        // Exactly at the margin boundary counts as clearly faster (the
-        // demotion predicate is strict).
-        let edge = [
-            estimate("LEMP", 1.00),
-            estimate("LEMP+i8", SCREEN_ADOPTION_MARGIN),
-        ];
-        assert_eq!(demote_marginal_screen_winner(&edge, 1), None);
-        // Sub-millisecond requests: even a clear relative win saves less
-        // absolute time than the noise floor — the incumbent keeps it.
-        let tiny = [estimate("LEMP", 900e-6), estimate("LEMP+i8", 500e-6)];
-        assert_eq!(demote_marginal_screen_winner(&tiny, 1), Some(0));
-        // Forced-i8 mode: screens run under plain keys, so a suffixed
-        // winner has no base twin — nothing to demote to.
-        let forced = [estimate("Blocked MM", 1.0), estimate("Maximus+i8", 0.99)];
-        assert_eq!(demote_marginal_screen_winner(&forced, 1), None);
     }
 
     #[test]

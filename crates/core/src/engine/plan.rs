@@ -37,8 +37,11 @@ pub struct PreparedPlan {
     /// an [`Engine::swap_model`](super::Engine::swap_model) — new plans are
     /// prepared lazily on the new epoch.
     pub(super) epoch: u64,
-    /// Per-candidate estimates, in registry order; empty when only one
-    /// backend was registered and no sampling was needed.
+    /// Per-candidate estimates, in candidate order: under
+    /// `IndexScope::Auto` a shard plan's global-winner candidate first,
+    /// then the registered backends in registration order, each `Auto`
+    /// screen variant right after its f64 build. Empty when a single
+    /// candidate won without sampling.
     pub(super) estimates: Vec<StrategyEstimate>,
     pub(super) sample_size: usize,
     pub(super) decision_seconds: f64,
@@ -76,8 +79,8 @@ impl PreparedPlan {
         self.planned_k
     }
 
-    /// The planner's per-candidate timing estimates (empty when the
-    /// registry held a single backend and sampling was skipped).
+    /// The planner's per-candidate timing estimates, in candidate order
+    /// (empty when a single candidate won without sampling).
     pub fn estimates(&self) -> &[StrategyEstimate] {
         &self.estimates
     }

@@ -307,9 +307,10 @@ where
 
 /// An ordered, key-unique set of backends.
 ///
-/// Order matters: the planner samples candidates in registration order and
-/// uses the first batch-capable backend as the timing reference for its
-/// t-test, so conventionally BMM registers first.
+/// Order matters: the planner times candidates in registration order,
+/// except that the first batch-capable backend (BMM) goes first as the
+/// timing reference for its t-test, and reports their estimates in
+/// registration order.
 #[derive(Clone, Default)]
 pub struct BackendRegistry {
     factories: Vec<Arc<dyn SolverFactory>>,

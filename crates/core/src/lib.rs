@@ -81,7 +81,7 @@ pub use engine::{
     QueryRequest, QueryResponse, SolverFactory, UserSelection,
 };
 pub use maximus::{MaximusConfig, MaximusIndex};
-pub use optimus::{Optimus, OptimusConfig, OptimusOutcome};
+pub use optimus::{Optimus, OptimusConfig};
 pub use precision::{Precision, ScanTier};
 pub use serve::{
     LatencySnapshot, MipsServer, ResponseHandle, ServeOptions, ServerBuilder, ServerMetrics,

@@ -1,23 +1,26 @@
 //! OPTIMUS: the online, sample-based MIPS serving optimizer (§IV).
 //!
-//! Given a model and a set of candidate strategies (BMM plus one or more
-//! indexes), OPTIMUS:
+//! Given already-built candidate solvers (BMM plus one or more indexes —
+//! construction is orders of magnitude cheaper than serving, Fig. 4 — and,
+//! under `Precision::Auto`, each scan backend's int8 screen build next to
+//! its f64 build), [`Optimus::choose`]:
 //!
-//! 1. **builds every candidate index** — construction is orders of magnitude
-//!    cheaper than serving (Fig. 4), so this is affordable;
-//! 2. **samples users** — a fraction of `U` (default 0.5 %) floored so the
+//! 1. **samples users** — a fraction of `U` (default 0.5 %) floored so the
 //!    sampled user block at least occupies the L2 cache, without which BMM's
 //!    timing degenerates toward matrix–vector multiply (§IV-A);
-//! 3. **times BMM and every index on the sample** and linearly extrapolates
-//!    total serving time. For point-query indexes (LEMP, FEXIPRO) an
-//!    incremental one-sample t-test against BMM's mean per-user time stops
-//!    sampling as soon as the comparison is statistically settled. The
-//!    engine's planner ([`Optimus::choose`]) adds a dominance cut: a
-//!    point-query pass stops once its elapsed time proves the candidate
-//!    can neither win nor change a screen demotion, and only screen-pair
-//!    sides within the cut get a second, min-of-two pass;
-//! 4. **serves the remaining users with the estimated winner**, reusing the
-//!    winner's sampled results.
+//! 2. **times every candidate on the sample**, the first batch-capable one
+//!    (BMM) first as the reference, and linearly extrapolates total serving
+//!    time. For point-query indexes (LEMP, FEXIPRO) an incremental
+//!    one-sample t-test against the reference's mean per-user time stops
+//!    sampling as soon as the comparison is statistically settled. A
+//!    dominance cut stops a point-query pass once its elapsed time proves
+//!    the candidate can neither win nor change a screen demotion, and only
+//!    screen-pair sides within the cut get a second, min-of-two pass;
+//! 3. **picks the estimated winner**, except that a screen build keeps the
+//!    plan over its own f64 build only when it is estimated clearly faster.
+//!
+//! The caller serves with the winner: the engine caches it in a
+//! [`crate::engine::PreparedPlan`] per user range and `k`.
 //!
 //! Decisions rest on these sampled timings alone. The paper's offline
 //! analytical FLOP model (§IV-A) predicts only BMM's multiply stage, not
@@ -25,14 +28,10 @@
 
 pub mod oracle;
 
-use crate::engine::registry::{BmmFactory, SolverFactory};
-use crate::engine::{SCREEN_ADOPTION_FLOOR_SECONDS, SCREEN_ADOPTION_MARGIN};
-use crate::solver::MipsSolver;
-use crate::sync::Arc;
-use mips_data::{MfModel, ModelView};
+use crate::solver::{MipsSolver, PlanningGuard};
+use mips_data::ModelView;
 use mips_linalg::CacheConfig;
 use mips_stats::{OneSampleTTest, TTestDecision};
-use mips_topk::TopKList;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -48,9 +47,9 @@ pub struct OptimusConfig {
     pub alpha: f64,
     /// Minimum observations before the t-test may decide.
     pub min_t_samples: u64,
-    /// Enable early stopping: the t-test for point-query indexes, and in
-    /// [`Optimus::choose`] the dominance cut. Off, every candidate is timed
-    /// on the full sample, and both sides of a screen pair twice (Fig. 7).
+    /// Enable early stopping: the t-test for point-query indexes and the
+    /// dominance cut. Off, every candidate is timed on the full sample, and
+    /// both sides of a screen pair twice (Fig. 7).
     pub early_stopping: bool,
     /// Seed for user sampling.
     pub seed: u64,
@@ -85,49 +84,48 @@ pub struct StrategyEstimate {
     pub estimated_total_seconds: f64,
 }
 
-/// The outcome of one OPTIMUS invocation.
-pub struct OptimusOutcome {
-    /// Name of the chosen strategy.
-    pub chosen: String,
-    /// Per-candidate estimates (BMM first, then indexes in input order).
-    pub estimates: Vec<StrategyEstimate>,
-    /// Users sampled for estimation.
-    pub sample_size: usize,
-    /// Wall-clock seconds spent on construction + sampling (the optimizer's
-    /// overhead before the main run starts).
-    pub decision_seconds: f64,
-    /// Wall-clock seconds of the full invocation, decision included.
-    pub total_seconds: f64,
-    /// Top-k results for every user, in user order.
-    pub results: Vec<TopKList>,
+/// One input to [`Optimus::choose`]: a built solver and, when it is an
+/// int8 screen build competing against its own f64 build, the index of
+/// that base in the same candidate slice. The caller that builds the pair
+/// supplies the pairing; display names play no part in it.
+#[derive(Clone, Copy)]
+pub struct Candidate<'a> {
+    /// The built solver.
+    pub solver: &'a dyn MipsSolver,
+    /// For a screen build, the index of its f64 base among the candidates.
+    pub screen_of: Option<usize>,
 }
 
-/// Everything the estimation phase produces: estimates plus the built
-/// solvers and sampled results, so the serving phase can reuse them.
-struct EstimationPhase {
-    sample: Vec<usize>,
-    taken: Vec<bool>,
-    bmm: Box<dyn MipsSolver>,
-    built: Vec<Box<dyn MipsSolver>>,
-    estimates: Vec<StrategyEstimate>,
-    bmm_results: Option<Vec<TopKList>>,
-    index_results: Vec<Option<Vec<TopKList>>>,
-}
-
-/// A planning decision over already-built candidate solvers: the engine's
-/// query-planner entry point (the candidates come from its backend
-/// registry, not from factory values).
+/// The outcome of [`Optimus::choose`]. `chosen` and `estimates` index the
+/// candidates in their input order.
 #[derive(Debug, Clone)]
 pub struct PlannedChoice {
-    /// Index of the winning solver in the input slice.
+    /// Index of the winning candidate.
     pub chosen: usize,
-    /// Per-candidate estimates, in input order.
+    /// Per-candidate estimates, in input order; empty when a single
+    /// candidate won without sampling.
     pub estimates: Vec<StrategyEstimate>,
-    /// Users sampled for estimation.
+    /// Users sampled for estimation (0 when sampling was skipped).
     pub sample_size: usize,
     /// Wall-clock seconds spent sampling and deciding.
     pub decision_seconds: f64,
 }
+
+/// A screen build displaces its own f64 build only when its sampled
+/// estimate is at most this fraction of the base's — i.e. clearly faster,
+/// not within sampling noise of a tie. See [`demote_marginal_screen_winner`]
+/// for the asymmetry argument that justifies favouring the exact-direct
+/// incumbent.
+const SCREEN_ADOPTION_MARGIN: f64 = 0.85;
+
+/// The screen must also be estimated to save at least this much absolute
+/// wall-clock before it displaces its f64 base. Sub-millisecond requests
+/// finish inside the sampling noise floor: a relative margin alone still
+/// adopts on a "30 µs vs 40 µs" sample, where the decision is pure noise
+/// and the upside — even when real — is microseconds. Seconds-scale
+/// requests (where the screen genuinely pays) clear this floor by orders
+/// of magnitude.
+const SCREEN_ADOPTION_FLOOR_SECONDS: f64 = 500e-6;
 
 /// The OPTIMUS optimizer.
 #[derive(Debug, Clone, Default)]
@@ -153,9 +151,9 @@ impl Optimus {
         by_fraction.max(l2_floor).max(2).min(num_users)
     }
 
-    /// Draws `sample_size` distinct users, deterministic per seed. Returns
-    /// the sample plus a membership mask over all `n` users.
-    fn sample_users(&self, n: usize, f: usize) -> (Vec<usize>, Vec<bool>) {
+    /// Draws `sample_size` distinct users out of `n`, deterministic per
+    /// seed.
+    fn sample_users(&self, n: usize, f: usize) -> Vec<usize> {
         let sample_size = self.sample_size(n, f);
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut sample: Vec<usize> = Vec::with_capacity(sample_size);
@@ -167,35 +165,51 @@ impl Optimus {
                 sample.push(u);
             }
         }
-        (sample, taken)
+        sample
     }
 
-    /// Chooses among already-built solvers by timing each on a user sample
-    /// — the planning primitive behind [`crate::engine::PreparedPlan`].
+    /// Chooses among already-built candidates by timing each on a user
+    /// sample — the planning primitive behind
+    /// [`crate::engine::PreparedPlan`]. A single candidate wins without
+    /// sampling.
     ///
     /// Sampling and cost extrapolation are **sized to the view**: the
     /// sample is drawn from the view's user range (in the parent model's
     /// global id space, which is what the candidate solvers must speak),
     /// and each candidate's total is extrapolated to the view's user
-    /// count. A full view reproduces the whole-model planning of earlier
-    /// revisions bit-for-bit (same seed, same draws); a shard view is how
-    /// the serving runtime lets every shard plan for its own slice.
+    /// count.
     ///
-    /// `solvers[0]` is the timing reference for the early-stopping t-test
-    /// applied to point-query candidates, so it should be the batch
-    /// baseline (BMM) when one is present. Candidates the dominance cut
-    /// stops are timed only until they are provably out of the running, so
-    /// the choice equals the argmin over full measurements of the same
-    /// passes. Panics if `solvers` is empty; the engine guards that case
-    /// with a typed error before calling.
-    pub fn choose(&self, view: &ModelView, k: usize, solvers: &[&dyn MipsSolver]) -> PlannedChoice {
-        assert!(!solvers.is_empty(), "Optimus::choose: no candidate solvers");
+    /// The first batch-capable candidate (BMM) is timed first, whatever its
+    /// position, and is the reference for the early-stopping t-test applied
+    /// to point-query candidates; without one, the first candidate is.
+    /// Candidates the dominance cut stops are timed only until they are
+    /// provably out of the running, so the choice equals the argmin over
+    /// full measurements of the same passes. A screen build that wins the
+    /// argmin is then demoted to its base (its [`Candidate::screen_of`])
+    /// unless it is estimated clearly faster. Panics if `candidates` is
+    /// empty; the engine guards that case with a typed error before
+    /// calling.
+    pub fn choose(
+        &self,
+        view: &ModelView,
+        k: usize,
+        candidates: &[Candidate<'_>],
+    ) -> PlannedChoice {
+        assert!(!candidates.is_empty(), "Optimus::choose: no candidates");
+        if candidates.len() == 1 {
+            return PlannedChoice {
+                chosen: 0,
+                estimates: Vec::new(),
+                sample_size: 0,
+                decision_seconds: 0.0,
+            };
+        }
         let overall = Instant::now();
         // Sampling is planning, not serving: keep it out of the
         // candidates' served screen counters.
-        let _planning = crate::solver::PlanningGuard::enter();
+        let _planning = PlanningGuard::enter();
         let n = view.num_users();
-        let (mut sample, _) = self.sample_users(n, view.num_factors());
+        let mut sample = self.sample_users(n, view.num_factors());
         let base = view.user_range().start;
         if base != 0 {
             for user in &mut sample {
@@ -214,9 +228,15 @@ impl Optimus {
         // cold-start noise.
         let warm = &sample[..sample.len().min(4)];
 
-        // Screen pairing: an engine in `Auto` precision competes each
-        // backend's `+i8` screen against its own f64 build, and the
-        // adoption rule downstream compares exactly those two estimates.
+        // Timing order: the t-test reference first, then the rest in
+        // input order.
+        let mut order: Vec<usize> = (0..candidates.len()).collect();
+        if let Some(batch) = candidates.iter().position(|c| c.solver.batches_users()) {
+            order.remove(batch);
+            order.insert(0, batch);
+        }
+
+        // The demotion below compares a screen's estimate with its base's.
         // The t-test early stop can halt the two sides at *different*
         // user counts, and on backends with heterogeneous per-user cost
         // (LEMP's scan length tracks the user's norm) that makes the
@@ -224,16 +244,10 @@ impl Optimus {
         // to mis-rank a pair whose true costs are within ~20%. So the
         // t-test never stops a screen pair's side; unpaired candidates
         // keep the cheap early-stopped sampling.
-        let names: Vec<&str> = solvers.iter().map(|s| s.name()).collect();
-        fn strip(name: &str) -> Option<&str> {
-            name.strip_suffix(crate::engine::SCREEN_I8_SUFFIX)
-        }
-        let screen_paired: Vec<bool> = names
-            .iter()
-            .map(|name| {
-                names
-                    .iter()
-                    .any(|other| strip(other) == Some(name) || strip(name) == Some(*other))
+        let screen_paired: Vec<bool> = (0..candidates.len())
+            .map(|i| {
+                candidates[i].screen_of.is_some()
+                    || candidates.iter().any(|c| c.screen_of == Some(i))
             })
             .collect();
 
@@ -256,17 +270,15 @@ impl Optimus {
         };
         let mut best = f64::INFINITY;
         let mut ref_per_user = None;
-        let mut estimates = Vec::with_capacity(solvers.len());
-        for (idx, solver) in solvers.iter().enumerate() {
+        let mut timed = Vec::with_capacity(candidates.len());
+        for &idx in &order {
+            let solver = candidates[idx].solver;
             let _ = solver.query_subset(k, warm);
             let ttest = ref_per_user.filter(|_| early && !screen_paired[idx]);
-            let (estimate, _) =
-                self.estimate_index(*solver, k, &sample, n, ttest, cut_seconds(best));
-            if idx == 0 {
-                ref_per_user = Some(estimate.sample_seconds / estimate.sampled_users as f64);
-            }
+            let estimate = self.estimate_index(solver, k, &sample, n, ttest, cut_seconds(best));
+            ref_per_user.get_or_insert(estimate.sample_seconds / estimate.sampled_users as f64);
             best = best.min(estimate.estimated_total_seconds);
-            estimates.push(estimate);
+            timed.push(estimate);
         }
 
         // Paired candidates get a second, interleaved timing pass with
@@ -280,189 +292,46 @@ impl Optimus {
         // by more than the margin. A point-query second pass stops once
         // it is slower than the first: it can no longer lower the
         // minimum.
-        for (idx, solver) in solvers.iter().enumerate() {
-            let first = estimates[idx].sample_seconds;
+        for (&idx, e) in order.iter().zip(&mut timed) {
+            let first = e.sample_seconds;
             if !screen_paired[idx] || first > cut_seconds(best) {
                 continue;
             }
             let stop_after = if early { first } else { f64::INFINITY };
-            let (used, second, _) = timed_pass(*solver, k, &sample, None, stop_after);
+            let (used, second) = timed_pass(candidates[idx].solver, k, &sample, None, stop_after);
             if used == sample.len() && second < first {
-                let e = &mut estimates[idx];
                 e.sample_seconds = second;
                 e.estimated_total_seconds = second / sample.len() as f64 * n as f64;
                 best = best.min(e.estimated_total_seconds);
             }
         }
 
-        let chosen = estimates
+        let mut by_input: Vec<(usize, StrategyEstimate)> =
+            order.iter().copied().zip(timed).collect();
+        by_input.sort_unstable_by_key(|&(idx, _)| idx);
+        let estimates: Vec<StrategyEstimate> = by_input.into_iter().map(|(_, e)| e).collect();
+        // Ties go to the candidate timed first.
+        let winner = *order
             .iter()
-            .enumerate()
-            .min_by(|a, b| {
-                a.1.estimated_total_seconds
-                    .total_cmp(&b.1.estimated_total_seconds)
+            .min_by(|&&a, &&b| {
+                estimates[a]
+                    .estimated_total_seconds
+                    .total_cmp(&estimates[b].estimated_total_seconds)
             })
-            .expect("at least one candidate")
-            .0;
+            .expect("at least two candidates");
         PlannedChoice {
-            chosen,
+            chosen: demote_marginal_screen_winner(&estimates, winner, candidates[winner].screen_of),
             estimates,
             sample_size: sample.len(),
             decision_seconds: overall.elapsed().as_secs_f64(),
         }
     }
 
-    /// Runs only the estimation phase (construction + sampling + per-user
-    /// timing) and returns the per-strategy estimates without serving the
-    /// remaining users. This is the measurement behind Fig. 7, which plots
-    /// estimate quality against the sample ratio.
-    ///
-    /// `indexes` are backend factories (the same [`SolverFactory`] values a
-    /// [`crate::engine::BackendRegistry`] holds); BMM is always included as
-    /// the batch baseline, so the list must not contain the `"bmm"` key.
-    pub fn estimate_only(
-        &self,
-        model: &Arc<MfModel>,
-        k: usize,
-        indexes: &[Arc<dyn SolverFactory>],
-    ) -> Vec<StrategyEstimate> {
-        self.estimation_phase(model, k, indexes).estimates
-    }
-
-    /// Construction plus sampling: everything OPTIMUS does before
-    /// committing to a strategy.
-    fn estimation_phase(
-        &self,
-        model: &Arc<MfModel>,
-        k: usize,
-        indexes: &[Arc<dyn SolverFactory>],
-    ) -> EstimationPhase {
-        assert!(
-            !indexes.iter().any(|f| f.key() == "bmm"),
-            "Optimus: BMM is always included; pass only index factories"
-        );
-        let view = &ModelView::full(model);
-        let n = view.num_users();
-        let (sample, taken) = self.sample_users(n, view.num_factors());
-
-        // Build all candidates (cheap relative to serving, Fig. 4).
-        let build = |factory: &dyn SolverFactory| -> Box<dyn MipsSolver> {
-            factory
-                .build(view)
-                .unwrap_or_else(|err| panic!("Optimus: building {}: {err}", factory.key()))
-        };
-        let bmm = build(&BmmFactory);
-        let built: Vec<Box<dyn MipsSolver>> = indexes.iter().map(|f| build(f.as_ref())).collect();
-
-        // Time BMM on the sample, then each index: point-query indexes
-        // under the t-test against BMM's mean per-user time.
-        let (bmm_estimate, bmm_results) =
-            self.estimate_index(bmm.as_ref(), k, &sample, n, None, f64::INFINITY);
-        let bmm_per_user = bmm_estimate.sample_seconds / sample.len() as f64;
-        let ttest = self.config.early_stopping.then_some(bmm_per_user);
-        let mut estimates = vec![bmm_estimate];
-        let mut index_results: Vec<Option<Vec<TopKList>>> = Vec::new();
-        for solver in &built {
-            let (estimate, results) =
-                self.estimate_index(solver.as_ref(), k, &sample, n, ttest, f64::INFINITY);
-            estimates.push(estimate);
-            index_results.push(results);
-        }
-
-        EstimationPhase {
-            sample,
-            taken,
-            bmm,
-            built,
-            estimates,
-            bmm_results,
-            index_results,
-        }
-    }
-
-    /// Chooses between BMM and the given index factories for serving top-k
-    /// for all users, then serves them. `indexes` must not contain the
-    /// `"bmm"` factory (BMM is always a candidate).
-    ///
-    /// Two-way optimization passes one index (the paper's Table II rows 1–4);
-    /// passing two or more gives the multi-way optimizer (row 5).
-    pub fn run(
-        &self,
-        model: &Arc<MfModel>,
-        k: usize,
-        indexes: &[Arc<dyn SolverFactory>],
-    ) -> OptimusOutcome {
-        let overall = Instant::now();
-        let n = model.num_users();
-        let EstimationPhase {
-            sample,
-            taken,
-            bmm,
-            built,
-            estimates,
-            bmm_results,
-            mut index_results,
-        } = self.estimation_phase(model, k, indexes);
-
-        // Decide.
-        let chosen_idx = estimates
-            .iter()
-            .enumerate()
-            .min_by(|a, b| {
-                a.1.estimated_total_seconds
-                    .total_cmp(&b.1.estimated_total_seconds)
-            })
-            .expect("at least BMM is a candidate")
-            .0;
-        let chosen_name = estimates[chosen_idx].name.clone();
-        let decision_seconds = overall.elapsed().as_secs_f64();
-
-        // Serve remaining users with the winner; reuse its sampled results
-        // when it produced complete ones.
-        let winner: &dyn MipsSolver = if chosen_idx == 0 {
-            bmm.as_ref()
-        } else {
-            built[chosen_idx - 1].as_ref()
-        };
-        let sampled_results: Option<Vec<TopKList>> = if chosen_idx == 0 {
-            bmm_results
-        } else {
-            index_results[chosen_idx - 1].take()
-        };
-
-        let mut results = vec![TopKList::empty(); n];
-        let remaining: Vec<usize> = match &sampled_results {
-            Some(lists) => {
-                for (pos, &u) in sample.iter().enumerate() {
-                    results[u] = lists[pos].clone();
-                }
-                (0..n).filter(|u| !taken[*u]).collect()
-            }
-            None => (0..n).collect(),
-        };
-        let remaining_results = winner.query_subset(k, &remaining);
-        for (pos, &u) in remaining.iter().enumerate() {
-            results[u] = remaining_results[pos].clone();
-        }
-
-        OptimusOutcome {
-            chosen: chosen_name,
-            estimates,
-            sample_size: sample.len(),
-            decision_seconds,
-            total_seconds: overall.elapsed().as_secs_f64(),
-            results,
-        }
-    }
-
     /// Times one candidate on the sample and extrapolates its total over
     /// `n` users. Point-query candidates may stop early (see
     /// [`timed_pass`]): under the one-sample t-test against `ttest_mean`,
-    /// BMM's mean per-user seconds, when given; and once their elapsed
-    /// time exceeds `stop_after` seconds.
-    ///
-    /// Returns the estimate and, when the full sample was processed, the
-    /// sampled results for reuse.
+    /// the reference's mean per-user seconds, when given; and once their
+    /// elapsed time exceeds `stop_after` seconds.
     fn estimate_index(
         &self,
         solver: &dyn MipsSolver,
@@ -471,21 +340,17 @@ impl Optimus {
         n: usize,
         ttest_mean: Option<f64>,
         stop_after: f64,
-    ) -> (StrategyEstimate, Option<Vec<TopKList>>) {
+    ) -> StrategyEstimate {
         let ttest = ttest_mean
             .map(|mean| OneSampleTTest::new(mean, self.config.alpha, self.config.min_t_samples));
-        let (used, sample_seconds, results) = timed_pass(solver, k, sample, ttest, stop_after);
-        let per_user = sample_seconds / used as f64;
-        (
-            StrategyEstimate {
-                name: solver.name().to_string(),
-                build_seconds: solver.build_seconds(),
-                sampled_users: used,
-                sample_seconds,
-                estimated_total_seconds: per_user * n as f64,
-            },
-            (used == sample.len()).then_some(results),
-        )
+        let (used, sample_seconds) = timed_pass(solver, k, sample, ttest, stop_after);
+        StrategyEstimate {
+            name: solver.name().to_string(),
+            build_seconds: solver.build_seconds(),
+            sampled_users: used,
+            sample_seconds,
+            estimated_total_seconds: sample_seconds / used as f64 * n as f64,
+        }
     }
 }
 
@@ -495,27 +360,29 @@ impl Optimus {
 /// otherwise runs user by user and stops after the first user that
 /// settles `ttest` or takes its elapsed time past `stop_after` seconds.
 ///
-/// Returns the users done, their elapsed seconds and their results.
+/// Returns the users done and their elapsed seconds.
 fn timed_pass(
     solver: &dyn MipsSolver,
     k: usize,
     sample: &[usize],
     mut ttest: Option<OneSampleTTest>,
     stop_after: f64,
-) -> (usize, f64, Vec<TopKList>) {
+) -> (usize, f64) {
     if solver.batches_users() || (ttest.is_none() && stop_after.is_infinite()) {
+        // The answers drop after the clock is read: freeing them is not
+        // serving work.
         let t0 = Instant::now();
-        let results = solver.query_subset(k, sample);
-        return (sample.len(), t0.elapsed().as_secs_f64(), results);
+        let _lists = solver.query_subset(k, sample);
+        return (sample.len(), t0.elapsed().as_secs_f64());
     }
-    let mut results = Vec::with_capacity(sample.len());
+    let mut used = 0;
     let mut elapsed = 0.0;
     for &u in sample {
         let t0 = Instant::now();
-        let mut r = solver.query_subset(k, &[u]);
+        let _list = solver.query_subset(k, &[u]);
         let dt = t0.elapsed().as_secs_f64();
+        used += 1;
         elapsed += dt;
-        results.push(r.pop().expect("one result per user"));
         let settled = ttest
             .as_mut()
             .is_some_and(|t| t.push(dt) != TTestDecision::Continue);
@@ -523,11 +390,11 @@ fn timed_pass(
             break;
         }
     }
-    (results.len(), elapsed, results)
+    (used, elapsed)
 }
 
 /// The estimate above which a candidate is dominated by one estimated at
-/// `best` seconds: it loses the argmin, and as the f64 base of a `+i8`
+/// `best` seconds: it loses the argmin, and as the f64 base of a screen
 /// winner it cannot demote that winner, since the screen is then below
 /// [`SCREEN_ADOPTION_MARGIN`] of it and saves more than
 /// [`SCREEN_ADOPTION_FLOOR_SECONDS`].
@@ -535,21 +402,54 @@ fn dominance_cut(best: f64) -> f64 {
     (best / SCREEN_ADOPTION_MARGIN).max(best + SCREEN_ADOPTION_FLOOR_SECONDS)
 }
 
+/// Screen adoption: a screen build competes against its own f64 build,
+/// and the two run the identical access pattern — their sampled estimates
+/// differ by the screen's true advantage plus sampling noise. Adopting the
+/// screen on a hair's-breadth estimate trades bounded upside for an
+/// unbounded noise regression, so the exact-direct incumbent keeps the
+/// plan unless the screen is estimated clearly faster — below
+/// [`SCREEN_ADOPTION_MARGIN`] of the base's time *and* saving at least
+/// [`SCREEN_ADOPTION_FLOOR_SECONDS`] of absolute wall-clock. A wrongly
+/// kept incumbent forgoes at most the margin; a wrongly adopted screen
+/// can serve arbitrarily slower than the committed f64 baseline.
+///
+/// `winner` indexes the argmin of `estimates` and `base` its f64 build,
+/// when it is a screen build paired with one (a screen forced by
+/// `I8Rescore` has none). Returns the index the plan settles on.
+fn demote_marginal_screen_winner(
+    estimates: &[StrategyEstimate],
+    winner: usize,
+    base: Option<usize>,
+) -> usize {
+    let screen = estimates[winner].estimated_total_seconds;
+    match base {
+        Some(b)
+            if screen > SCREEN_ADOPTION_MARGIN * estimates[b].estimated_total_seconds
+                || estimates[b].estimated_total_seconds - screen
+                    < SCREEN_ADOPTION_FLOOR_SECONDS =>
+        {
+            b
+        }
+        _ => winner,
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bmm::BmmSolver;
-    use crate::engine::registry::{FexiproFactory, LempFactory, MaximusFactory};
+    use crate::engine::registry::{
+        BmmFactory, FexiproFactory, LempFactory, MaximusFactory, SolverFactory,
+    };
+    use crate::engine::{Engine, EngineBuilder, PreparedPlan, QueryRequest};
     use crate::maximus::MaximusConfig;
     use crate::precision::{Precision, ScanTier};
     use crate::sync::atomic::{AtomicUsize, Ordering};
+    use crate::sync::Arc;
     use mips_data::synth::{synth_model, SynthConfig};
+    use mips_data::MfModel;
     use mips_lemp::LempConfig;
+    use mips_topk::TopKList;
     use std::time::Duration;
-
-    fn fac(factory: impl SolverFactory + 'static) -> Arc<dyn SolverFactory> {
-        Arc::new(factory)
-    }
 
     fn model() -> Arc<MfModel> {
         Arc::new(synth_model(&SynthConfig {
@@ -574,49 +474,55 @@ mod tests {
         }
     }
 
+    /// An engine planning under [`tiny_config`] over `m`, with BMM
+    /// registered first and then `indexes`.
+    fn bmm_plus(m: &Arc<MfModel>, indexes: Vec<Arc<dyn SolverFactory>>) -> Engine {
+        let mut builder = EngineBuilder::new()
+            .model(Arc::clone(m))
+            .register(BmmFactory)
+            .optimus(tiny_config());
+        for index in indexes {
+            builder = builder.register_arc(index);
+        }
+        builder.build().unwrap()
+    }
+
+    fn small_maximus() -> Arc<dyn SolverFactory> {
+        Arc::new(MaximusFactory::new(MaximusConfig {
+            num_clusters: 4,
+            block_size: 32,
+            ..MaximusConfig::default()
+        }))
+    }
+
     #[test]
     fn results_are_exact_regardless_of_choice() {
         let m = model();
-        let optimus = Optimus::new(tiny_config());
-        let outcome = optimus.run(
-            &m,
-            5,
-            &[fac(MaximusFactory::new(MaximusConfig {
-                num_clusters: 4,
-                block_size: 32,
-                ..MaximusConfig::default()
-            }))],
-        );
+        let engine = bmm_plus(&m, vec![small_maximus()]);
+        let started = Instant::now();
+        let response = engine.execute(&QueryRequest::top_k(5)).unwrap();
+        let total_seconds = started.elapsed().as_secs_f64();
+        let plan = engine.prepare(5).unwrap();
         let want = BmmSolver::build(&ModelView::full(&m), ScanTier::F64).query_all(5);
-        assert_eq!(outcome.results.len(), want.len());
-        for (u, (got, expect)) in outcome.results.iter().zip(&want).enumerate() {
+        assert_eq!(response.results.len(), want.len());
+        for (u, (got, expect)) in response.results.iter().zip(&want).enumerate() {
             assert_eq!(got.items, expect.items, "user {u}");
         }
-        assert!(["Blocked MM", "Maximus"].contains(&outcome.chosen.as_str()));
-        assert_eq!(outcome.estimates.len(), 2);
-        assert!(outcome.decision_seconds <= outcome.total_seconds);
+        assert!(["Blocked MM", "Maximus"].contains(&plan.backend_name()));
+        assert_eq!(plan.estimates().len(), 2);
+        assert!(plan.decision_seconds() <= total_seconds);
     }
 
     #[test]
     fn three_way_optimization_works() {
         let m = model();
-        let optimus = Optimus::new(tiny_config());
-        let outcome = optimus.run(
-            &m,
-            3,
-            &[
-                fac(MaximusFactory::new(MaximusConfig {
-                    num_clusters: 4,
-                    block_size: 32,
-                    ..MaximusConfig::default()
-                })),
-                fac(LempFactory::new(LempConfig::default())),
-            ],
-        );
-        assert_eq!(outcome.estimates.len(), 3);
+        let lemp: Arc<dyn SolverFactory> = Arc::new(LempFactory::new(LempConfig::default()));
+        let engine = bmm_plus(&m, vec![small_maximus(), lemp]);
+        let response = engine.execute(&QueryRequest::top_k(3)).unwrap();
+        assert_eq!(engine.prepare(3).unwrap().estimates().len(), 3);
         let want = BmmSolver::build(&ModelView::full(&m), ScanTier::F64).query_all(3);
         for u in (0..m.num_users()).step_by(37) {
-            assert_eq!(outcome.results[u].items, want[u].items);
+            assert_eq!(response.results[u].items, want[u].items);
         }
     }
 
@@ -635,10 +541,11 @@ mod tests {
 
     #[test]
     fn estimates_are_positive_and_finite() {
-        let m = model();
-        let optimus = Optimus::new(tiny_config());
-        let outcome = optimus.run(&m, 1, &[fac(FexiproFactory::si())]);
-        for e in &outcome.estimates {
+        let plan = bmm_plus(&model(), vec![Arc::new(FexiproFactory::si())])
+            .prepare(1)
+            .unwrap();
+        assert_eq!(plan.estimates().len(), 2);
+        for e in plan.estimates() {
             assert!(e.estimated_total_seconds > 0.0);
             assert!(e.estimated_total_seconds.is_finite());
             assert!(e.sampled_users >= 2);
@@ -651,11 +558,11 @@ mod tests {
         // is wide, so with early stopping enabled the t-test should settle
         // before the full sample — sampled_users < sample_size at least
         // sometimes. We only assert it never exceeds the sample.
-        let m = model();
-        let optimus = Optimus::new(tiny_config());
-        let outcome = optimus.run(&m, 1, &[fac(FexiproFactory::sir())]);
-        let fex = &outcome.estimates[1];
-        assert!(fex.sampled_users <= outcome.sample_size);
+        let plan = bmm_plus(&model(), vec![Arc::new(FexiproFactory::sir())])
+            .prepare(1)
+            .unwrap();
+        let fex = estimate(&plan, "FEXIPRO-SIR");
+        assert!(fex.sampled_users <= plan.sample_size());
     }
 
     /// Delegates to a solver and counts the users it is asked for, so a
@@ -746,9 +653,31 @@ mod tests {
         );
         let (lemp, lemp_screen) = (Counting::new(&lemp), Counting::new(&lemp_screen));
         let view = ModelView::full(&m);
-        let choice = optimus.choose(&view, 3, &[&bmm, &lemp, &lemp_screen, &fex]);
-        assert_eq!(choice.chosen, argmin(&choice.estimates));
-        let best = choice.estimates[choice.chosen].estimated_total_seconds;
+        let candidates = [
+            Candidate {
+                solver: &bmm,
+                screen_of: None,
+            },
+            Candidate {
+                solver: &lemp,
+                screen_of: None,
+            },
+            Candidate {
+                solver: &lemp_screen,
+                screen_of: Some(1),
+            },
+            Candidate {
+                solver: &fex,
+                screen_of: None,
+            },
+        ];
+        let choice = optimus.choose(&view, 3, &candidates);
+        let winner = argmin(&choice.estimates);
+        assert_eq!(
+            choice.chosen,
+            demote_marginal_screen_winner(&choice.estimates, winner, candidates[winner].screen_of)
+        );
+        let best = choice.estimates[winner].estimated_total_seconds;
         let warm = choice.sample_size.min(4);
         for (e, side) in choice.estimates[1..3].iter().zip([&lemp, &lemp_screen]) {
             let timed = side.users() - warm;
@@ -813,12 +742,14 @@ mod tests {
     }
 
     /// Builds [`Stub`]s under `key`: a plain build costing `per_user`,
-    /// and, when `screen` is set, a `+i8` screen build costing that much.
+    /// and, when `screen` is set, a screen build costing that much and
+    /// named `screen_name` (`"<key>+i8"` unless a test renames it).
     struct StubFactory {
         key: &'static str,
         batch: bool,
         per_user: Duration,
         screen: Option<Duration>,
+        screen_name: String,
         users: Arc<AtomicUsize>,
         screen_users: Arc<AtomicUsize>,
     }
@@ -830,6 +761,7 @@ mod tests {
                 batch,
                 per_user: Duration::from_micros(per_user_us),
                 screen: None,
+                screen_name: format!("{key}+i8"),
                 users: Arc::default(),
                 screen_users: Arc::default(),
             }
@@ -842,7 +774,11 @@ mod tests {
 
         fn stub(&self, view: &ModelView, screen: bool) -> Box<dyn MipsSolver> {
             Box::new(Stub {
-                name: format!("{}{}", self.key, if screen { "+i8" } else { "" }),
+                name: if screen {
+                    self.screen_name.clone()
+                } else {
+                    self.key.to_string()
+                },
                 per_user: if screen {
                     self.screen.expect("screen build")
                 } else {
@@ -887,14 +823,14 @@ mod tests {
         sample_fraction: f64,
         early_stopping: bool,
         stubs: &[Arc<StubFactory>],
-    ) -> Arc<crate::engine::PreparedPlan> {
+    ) -> Arc<PreparedPlan> {
         let model = Arc::new(synth_model(&SynthConfig {
             num_users,
             num_items: 16,
             num_factors: 4,
             ..SynthConfig::default()
         }));
-        let mut builder = crate::engine::EngineBuilder::new()
+        let mut builder = EngineBuilder::new()
             .model(model)
             .precision(Precision::Auto)
             .optimus(OptimusConfig {
@@ -908,7 +844,7 @@ mod tests {
         builder.build().unwrap().prepare(1).unwrap()
     }
 
-    fn estimate<'a>(plan: &'a crate::engine::PreparedPlan, name: &str) -> &'a StrategyEstimate {
+    fn estimate<'a>(plan: &'a PreparedPlan, name: &str) -> &'a StrategyEstimate {
         plan.estimates()
             .iter()
             .find(|e| e.name == name)
@@ -1013,10 +949,73 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pass only index factories")]
-    fn rejects_bmm_in_index_list() {
-        let m = model();
-        let optimus = Optimus::new(tiny_config());
-        let _ = optimus.run(&m, 1, &[fac(BmmFactory)]);
+    fn screen_pairs_come_from_the_engine_not_from_display_names() {
+        // The screen's display name does not end in "+i8", so no name
+        // match could pair it with its base; the engine pairs them. As a
+        // pair, both sides are timed on the whole sample (the t-test,
+        // which would settle against the slow reference after 8 users,
+        // never stops a pair side) and get a second pass. Both are
+        // near-free, so the screen saves less than the adoption floor
+        // and is demoted to its base. The cut sits the floor above the
+        // best estimate, as in `pair_sides_within_the_cut_get_their_second_pass`.
+        let reference = Arc::new(StubFactory::new("ref", true, 30));
+        let mut odd = StubFactory::new("odd", false, 0).with_screen(0);
+        odd.screen_name = "screened odd".into();
+        let odd = Arc::new(odd);
+        let plan = plan_stubs(64, 1.0, true, &[reference, Arc::clone(&odd)]);
+        let sample = plan.sample_size();
+        for (name, users) in [("odd", &odd.users), ("screened odd", &odd.screen_users)] {
+            assert_eq!(estimate(&plan, name).sampled_users, sample, "{name}");
+            assert!(
+                users.load(Ordering::SeqCst) > 4 + sample,
+                "{name} must get its second pass"
+            );
+        }
+        assert_eq!(plan.backend_key(), "odd", "{:?}", plan.estimates());
+        assert_eq!(plan.precision(), Precision::F64);
+    }
+
+    #[test]
+    fn screen_winner_within_margin_is_demoted_to_its_f64_base() {
+        let estimate = |name: &str, secs: f64| StrategyEstimate {
+            name: name.to_string(),
+            build_seconds: 0.0,
+            sampled_users: 8,
+            sample_seconds: secs / 10.0,
+            estimated_total_seconds: secs,
+        };
+        // Screen barely ahead of its base (within the noise margin): the
+        // exact-direct incumbent keeps the plan.
+        let noisy = [estimate("LEMP", 1.00), estimate("LEMP+i8", 0.95)];
+        assert_eq!(demote_marginal_screen_winner(&noisy, 1, Some(0)), 0);
+        // Screen clearly faster than the margin: adoption stands.
+        let clear = [estimate("LEMP", 1.00), estimate("LEMP+i8", 0.60)];
+        assert_eq!(demote_marginal_screen_winner(&clear, 1, Some(0)), 1);
+        // Exactly at the margin boundary counts as clearly faster (the
+        // demotion predicate is strict).
+        let edge = [
+            estimate("LEMP", 1.00),
+            estimate("LEMP+i8", SCREEN_ADOPTION_MARGIN),
+        ];
+        assert_eq!(demote_marginal_screen_winner(&edge, 1, Some(0)), 1);
+        // Sub-millisecond requests: even a clear relative win saves less
+        // absolute time than the noise floor — the incumbent keeps it.
+        let tiny = [estimate("LEMP", 900e-6), estimate("LEMP+i8", 500e-6)];
+        assert_eq!(demote_marginal_screen_winner(&tiny, 1, Some(0)), 0);
+        // Forced-i8 mode: screens are the only builds, so a screen winner
+        // has no base — nothing to demote to, even where the names of
+        // two candidates would match as a pair.
+        let forced = [estimate("Maximus", 1.0), estimate("Maximus+i8", 0.99)];
+        assert_eq!(demote_marginal_screen_winner(&forced, 1, None), 1);
+        // Two candidates share the base's display name (a global winner
+        // and a shard-local build, say): the screen is demoted to the
+        // base it was paired with, not to the first name match, and its
+        // own name need not carry the "+i8" suffix.
+        let twins = [
+            estimate("LEMP", 3.0),
+            estimate("LEMP", 1.0),
+            estimate("screened LEMP", 0.95),
+        ];
+        assert_eq!(demote_marginal_screen_winner(&twins, 2, Some(1)), 1);
     }
 }

@@ -87,7 +87,7 @@ pub mod prelude {
         VectorQueryRequest,
     };
     pub use mips_core::maximus::{MaximusConfig, MaximusIndex};
-    pub use mips_core::optimus::{Optimus, OptimusConfig, OptimusOutcome};
+    pub use mips_core::optimus::{Optimus, OptimusConfig};
     pub use mips_core::parallel::par_query_all;
     pub use mips_core::precision::ScanTier;
     pub use mips_core::serve::{
